@@ -414,7 +414,6 @@ def run_loadgen(
             "lost": lost,
         },
         "results_digest": _results_digest(results),
-        "code_cache": fleet.code_cache_snapshot(),
         "timing": {
             "warmup_seconds": warmup_seconds,
             "wall_seconds": wall,

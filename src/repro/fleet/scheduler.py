@@ -136,10 +136,6 @@ class Fleet:
         #: Latest metrics snapshot per worker incarnation (a crashed
         #: worker's last snapshot still counts what it served).
         self.worker_snapshots: dict[int, dict] = {}
-        #: Persistent-code-cache keys each worker reported serving
-        #: from (see ``template_cache_keys``); forked siblings of one
-        #: prewarmed context all publish the same set.
-        self.worker_cache_keys: dict[int, tuple[str, ...]] = {}
         self._workers: list[_WorkerHandle] = []
         self._incarnations = 0
         self._batch_ids = 0
@@ -443,9 +439,6 @@ class Fleet:
         by_id = {pending.job["id"]: pending for pending in inflight}
         handle.inflight = None
         self.worker_snapshots[message["worker"]] = message["metrics"]
-        keys = message.get("code_cache_keys")
-        if keys:
-            self.worker_cache_keys[message["worker"]] = tuple(keys)
         self._remote_spans.extend(message.get("spans") or [])
         if handle.batch_span is not None:
             handle.batch_span.end(results=len(message["results"]))
@@ -580,11 +573,6 @@ class Fleet:
                 batch_span.end(results=len(batch))
         context.boot_cache.publish_metrics(context.metrics)
         self.worker_snapshots[0] = context.metrics.to_json()
-        keys = sorted(set(
-            context.boot_cache.template_cache_keys().values()
-        ))
-        if keys:
-            self.worker_cache_keys[0] = tuple(keys)
 
     # -- public driving ----------------------------------------------------------
 
@@ -615,22 +603,6 @@ class Fleet:
             with self.spans.span("rollup", registries=len(snapshots)):
                 return merge_metrics(snapshots)
         return merge_metrics(snapshots)
-
-    def code_cache_snapshot(self) -> dict:
-        """Which persistent-code-cache sets the fleet served from.
-
-        ``shared`` is true when every reporting worker published the
-        same key set — the expected steady state when the pool was
-        forked from one prewarmed context, and the precondition for
-        siblings reusing each other's persisted compiled code.
-        """
-        key_sets = set(self.worker_cache_keys.values())
-        union = sorted(set().union(*key_sets)) if key_sets else []
-        return {
-            "keys": union,
-            "workers_reporting": len(self.worker_cache_keys),
-            "shared": len(key_sets) <= 1,
-        }
 
     def span_export(self) -> dict:
         """The merged ``spans-1`` document: scheduler + all workers.

@@ -211,22 +211,6 @@ def validate_bench_fleet(document: dict) -> list[str]:
             continue
         for name, value in section.items():
             _check_count({name: value}, name, problems, where=f"{key}.")
-    code_cache = document.get("code_cache")
-    if code_cache is not None:
-        if not isinstance(code_cache, dict):
-            problems.append("'code_cache' is not an object")
-        else:
-            _check_count(code_cache, "workers_reporting", problems,
-                         where="code_cache.")
-            if not isinstance(code_cache.get("shared"), bool):
-                problems.append("code_cache.shared is not a boolean")
-            keys = code_cache.get("keys")
-            if not isinstance(keys, list) or any(
-                not isinstance(key, str) for key in keys
-            ):
-                problems.append(
-                    "code_cache.keys is not a list of strings"
-                )
     timing = document.get("timing")
     if timing is not None:
         if not isinstance(timing, dict):

@@ -183,13 +183,6 @@ def worker_main(conn, worker_id: int, options: WorkerOptions) -> None:
                 "worker": worker_id,
                 "results": results,
                 "metrics": context.metrics.to_json(),
-                # Persistent-code-cache keys of the templates this
-                # worker serves from: siblings forked from the same
-                # prewarmed context publish identical keys, proving
-                # they draw on the same compiled sets.
-                "code_cache_keys": sorted(
-                    set(context.boot_cache.template_cache_keys().values())
-                ),
                 "served": served,
                 "recycling": recycling,
             }

@@ -191,24 +191,6 @@ class BootCache:
         self.forks += 1
         return child
 
-    def template_cache_keys(self) -> dict[tuple, str]:
-        """Persistent code-cache key of each parked template.
-
-        The key folds the template's compile-relevant configuration
-        (:func:`repro.machine.codecache.config_signature`) with the
-        kernel image digest it was booted from — the kernel-side
-        namespace all of its forks share.  (A full ``CodeCache`` set
-        key additionally folds the user program; this template-scope
-        key is what fleet workers publish so siblings can tell they are
-        drawing from the same compiled set.)
-        """
-        from repro.machine.codecache import cache_key, config_signature
-
-        return {
-            key: cache_key(key[1], config_signature(template.hart))
-            for key, template in self._templates.items()
-        }
-
     # -- internals ---------------------------------------------------------------
 
     def _trim_tables(self) -> None:

@@ -46,11 +46,6 @@ MAX_BLOCK_INSTRUCTIONS = 64
 #: instead of retranslating everything after a full flush.
 DEFAULT_CAPACITY = 4096
 
-#: Capacity of the per-hart superblock cache (tier 4).  Profiles select
-#: at most a handful of traces per workload; the bound only guards a
-#: pathological profile from caching without limit.
-SUPERBLOCK_CAPACITY = 1024
-
 
 class TranslatedBlock:
     """One predecoded straight-line sequence.

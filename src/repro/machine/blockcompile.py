@@ -53,7 +53,7 @@ from repro.machine.trap import Cause, Trap
 from repro.telemetry.events import BLOCK_JIT
 from repro.utils.bits import MASK64, to_signed64
 
-__all__ = ["compile_block", "compile_trace"]
+__all__ = ["compile_block"]
 
 _H = 1 << 63
 
@@ -412,156 +412,6 @@ class _Codegen:
         return "\n".join(header + self.lines) + "\n"
 
 
-class _TraceCodegen(_Codegen):
-    """Code generator for trace-length superblocks (tier 4).
-
-    A trace is a profile-selected sequence of already-translated blocks
-    whose hot path chains head to tail.  The generator inlines the
-    whole sequence into one function: interior terminators keep the
-    execution on the trace when control flow goes the profiled way and
-    exit with a fully synced architectural state (a chainable positive
-    return) the moment it does not.  Instruction indices, retired
-    counts and writeback sets are *global* across the trace, so an
-    off-trace exit after N instructions is bit-identical to N ordinary
-    machine-loop rounds.
-
-    The caller must only enter the generated function under the same
-    guard the single-block tier uses, extended to the summed cycle
-    bound: no deliverable timer interrupt may fire before the trace's
-    worst-case cycle count has elapsed.  Interior CSR/system ops are
-    rejected (they could flip interrupt enables mid-trace), device
-    stores exit through the normal ``_block_break`` path, and traps
-    retire exactly the preceding instructions — so skipping the
-    per-boundary interrupt checks of the chain loop is sound.
-    """
-
-    def __init__(self, hart, blocks):
-        super().__init__(hart, blocks[0])
-        self.trace = blocks
-
-    # -- interior terminators ---------------------------------------------
-
-    def mid_branch(self, ins, pc: int, retired: int,
-                   next_entry: int) -> None:
-        cost = self.hart.cost
-        taken = cost.cost(ins.mnemonic, branch_taken=True)
-        not_taken = cost.cost(ins.mnemonic, branch_taken=False)
-        cond = _BRANCH_COND[ins.mnemonic](
-            self.reg(ins.rs1), self.reg(ins.rs2)
-        )
-        target = (pc + ins.imm) & MASK64
-        if target == next_entry:
-            self.emit(f"if not ({cond}):")
-            self.chainable_exit(pc + 4, retired,
-                                self.pending + not_taken, 2)
-            self.pending += taken
-        elif pc + 4 == next_entry:
-            self.emit(f"if {cond}:")
-            self.chainable_exit(target, retired, self.pending + taken, 2)
-            self.pending += not_taken
-        else:
-            raise _Unsupported("branch leaves the trace on both arms")
-
-    def mid_jal(self, ins, pc: int, next_entry: int) -> None:
-        if (pc + ins.imm) & MASK64 != next_entry:
-            raise _Unsupported("jal target leaves the trace")
-        dest = self.dest(ins.rd)
-        if dest is not None:
-            self.emit(f"{dest} = {pc + 4}")
-        self.pending += self.hart.cost.jump
-
-    def mid_jalr(self, ins, pc: int, retired: int,
-                 next_entry: int) -> None:
-        jump = self.hart.cost.jump
-        self.emit(
-            f"_t = ({self.reg(ins.rs1)} + {ins.imm}) & {MASK64 & ~1}"
-        )
-        dest = self.dest(ins.rd)
-        if dest is not None:
-            self.emit(f"{dest} = {pc + 4}")
-        self.emit(f"if _t != {next_entry}:")
-        self.chainable_exit("_t", retired, self.pending + jump, 2)
-        self.pending += jump
-
-    # -- driver ------------------------------------------------------------
-
-    def generate(self) -> str:
-        cost = self.hart.cost
-        total = sum(len(block.ops) for block in self.trace)
-        last_index = len(self.trace) - 1
-        gi = 0  # global instruction index across the whole trace
-        for bi, block in enumerate(self.trace):
-            # op_crypto folds ``self.block.privilege`` into its calls;
-            # compile_trace guarantees it is uniform across the trace.
-            self.block = block
-            next_entry = (
-                None if bi == last_index else self.trace[bi + 1].entry_pc
-            )
-            ops = block.ops
-            for li, (handler, ins) in enumerate(ops):
-                mnemonic = ins.mnemonic
-                pc = block.entry_pc + 4 * li
-                is_last_op = li == len(ops) - 1
-                terminal = is_last_op and bi == last_index
-                if mnemonic in tab.BRANCHES:
-                    if terminal:
-                        self.last_branch(ins, pc, total)
-                    elif is_last_op:
-                        self.mid_branch(ins, pc, gi + 1, next_entry)
-                    else:
-                        raise _Unsupported("interior branch")
-                elif mnemonic == "jal":
-                    if terminal:
-                        self.last_jal(ins, pc, total)
-                    elif is_last_op:
-                        self.mid_jal(ins, pc, next_entry)
-                    else:
-                        raise _Unsupported("interior jal")
-                elif mnemonic == "jalr":
-                    if terminal:
-                        self.last_jalr(ins, pc, total)
-                    elif is_last_op:
-                        self.mid_jalr(ins, pc, gi + 1, next_entry)
-                    else:
-                        raise _Unsupported("interior jalr")
-                elif mnemonic in _HANDLER_FALLBACK:
-                    if terminal:
-                        self.last_handler(handler, ins, pc, total)
-                    else:
-                        # A CSR/system op can change interrupt enables,
-                        # keys or privilege: never inline one mid-trace.
-                        raise _Unsupported("CSR/system op mid-trace")
-                elif mnemonic in _ALU_RR:
-                    self.op_alu_rr(ins, cost.cost(mnemonic))
-                elif mnemonic in _ALU_IMM:
-                    self.op_alu_imm(ins, cost.cost(mnemonic))
-                elif mnemonic == "lui":
-                    self.op_lui(ins, cost.default)
-                elif mnemonic == "auipc":
-                    self.op_auipc(ins, pc, cost.default)
-                elif mnemonic == "fence":
-                    self.pending += cost.default
-                elif mnemonic in tab.LOADS:
-                    self.op_load(ins, gi, pc)
-                elif mnemonic in tab.STORES:
-                    self.op_store(ins, gi, pc)
-                elif tab.parse_crypto_mnemonic(mnemonic) is not None:
-                    self.op_crypto(ins, gi, pc)
-                else:
-                    raise _Unsupported(mnemonic)
-                if is_last_op and mnemonic not in BLOCK_TERMINATORS:
-                    if terminal:
-                        self.last_fallthrough(pc, total)
-                    elif next_entry != pc + 4:
-                        raise _Unsupported("fallthrough leaves the trace")
-                gi += 1
-
-        header = ["def _block(hart):", "    regs = hart.regs._regs"]
-        for number in sorted(self.loaded):
-            header.append(f"    r{number} = regs[{number}]")
-        return "\n".join(header + self.lines) + "\n"
-
-
 def _build_env(hart) -> dict:
     bus = hart.bus
     return {
@@ -645,32 +495,3 @@ def compile_block(hart, block):
             ns=time.perf_counter_ns() - started_ns,
         )
     return fn
-
-
-def compile_trace(hart, blocks):
-    """Compile a block sequence into one superblock function.
-
-    Returns ``(fn, source)`` on success, ``(None, None)`` when the
-    trace cannot be inlined exactly (interior CSR/system ops, control
-    flow that cannot stay on the trace, mixed privilege).  The caller
-    owns caching: nothing is stored on the constituent blocks.
-    """
-    if len(blocks) < 2:
-        return None, None
-    privilege = blocks[0].privilege
-    if any(block.privilege != privilege for block in blocks):
-        return None, None
-    generator = _TraceCodegen(hart, blocks)
-    try:
-        source = generator.generate()
-    except _Unsupported:
-        return None, None
-    env = _build_env(hart)
-    env.update(generator.env)
-    namespace: dict = {}
-    exec(  # noqa: S102 - source is synthesized above, not external input
-        compile(source, f"<trace@{blocks[0].entry_pc:#x}>", "exec"),
-        env,
-        namespace,
-    )
-    return namespace["_block"], source

@@ -25,7 +25,6 @@ from repro.isa.instructions import Instruction
 from repro.machine.blockcache import (
     MAX_BLOCK_INSTRUCTIONS,
     MAX_SHARED_LAYOUTS,
-    SUPERBLOCK_CAPACITY,
     BlockCache,
     BlockLayout,
     TranslatedBlock,
@@ -131,14 +130,7 @@ class Hart:
         #: Set mid-block by device stores and code-page writes; forces a
         #: return to the machine loop before the next predecoded op.
         self._block_break = False
-        # -- tier 4: persistent cache + trace-length superblocks -----------
-        #: Profile-selected multi-block traces compiled into single
-        #: functions (see :mod:`repro.machine.codecache`), keyed like
-        #: ordinary blocks by ``(entry_pc, privilege)``.  A second
-        #: :class:`BlockCache` gives them page invalidation, LRU
-        #: bounding and epoch semantics for free; empty (the default)
-        #: costs one ``len()`` check per block dispatch.
-        self.superblocks = BlockCache(SUPERBLOCK_CAPACITY)
+        # -- tier 4: persistent and in-process compiled-code reuse ---------
         #: :class:`repro.machine.codecache.CodeRecorder` capturing
         #: compiled sources for persistence, or None.
         self.code_collector = None
@@ -198,28 +190,6 @@ class Hart:
             return 1
         pc = self.pc
         key = (pc, self.privilege)
-        if (
-            len(self.superblocks)
-            and self.compile_enabled
-            and not self._tracer_stack
-        ):
-            sblock = self.superblocks.lookup(key)
-            if (
-                sblock is not None
-                and sblock.compiled is not None
-                and len(sblock.ops) <= limit
-                and not (
-                    self.cycles + sblock.cycle_bound >= deadline
-                    and self._timer_deliverable()
-                )
-            ):
-                # The summed cycle bound proves no deliverable timer
-                # can fire before the whole trace retires, so entering
-                # the superblock is the single-block guard extended to
-                # the trace length.
-                return self._run_compiled(
-                    sblock, sblock.compiled, limit, deadline
-                )
         block = self.blocks.lookup(key)
         if block is None:
             block = self._translate(pc, key)
@@ -309,25 +279,6 @@ class Hart:
             if self._take_pending_interrupt():
                 return total + 1
             next_pc = self.pc
-            sblocks = self.superblocks
-            if len(sblocks):
-                sblock = sblocks.peek((next_pc, block.privilege))
-                if (
-                    sblock is not None
-                    and sblock.compiled is not None
-                    and len(sblock.ops) <= limit - total
-                    and not (
-                        self.cycles + sblock.cycle_bound >= deadline
-                        and self._timer_deliverable()
-                    )
-                ):
-                    # Superblocks are never cached in ``links`` — the
-                    # two caches have independent epochs — but a trace
-                    # whose exit lands on a superblock head (its own
-                    # included) chains straight back in.
-                    block = sblock
-                    fn = sblock.compiled
-                    continue
             epoch = blocks.epoch
             entry = block.links.get(next_pc)
             if entry is not None and entry[0] == epoch:
@@ -443,19 +394,14 @@ class Hart:
             address += 4 * len(words)
         del instructions[MAX_BLOCK_INSTRUCTIONS:]
         ops = []
-        bound = self.cost.trap_entry  # a mid-block trap charges entry cost
-        crypto_worst = max(self.engine.miss_cycles, self.engine.hit_cycles)
         for ins in instructions:
             handler = self._dispatch.get(ins.mnemonic)
             if handler is None:
                 break
             ops.append((handler, ins))
-            if self.cost.classify(ins.mnemonic) == "crypto":
-                bound += crypto_worst
-            else:
-                bound += self.cost.worst_case(ins.mnemonic)
         if not ops:
             return None
+        bound = self.worst_case_cycles(ins for _, ins in ops)
         pages = BlockCache.pages_of(pc, len(ops))
         block = TranslatedBlock(pc, tuple(ops), bound, pages, int(key[1]))
         self.blocks.insert(key, block)
@@ -481,10 +427,25 @@ class Hart:
             )
         return block
 
+    def worst_case_cycles(self, instructions) -> int:
+        """Upper bound on the cycles one pass over ``instructions`` can
+        consume: each instruction's worst case plus one trap entry (a
+        mid-block trap charges it).  This is the ``cycle_bound`` the
+        timer-deadline guard in :meth:`run_block` and
+        :meth:`_run_compiled` relies on, for translated and cache-
+        installed blocks alike."""
+        cost = self.cost
+        crypto_worst = max(self.engine.miss_cycles, self.engine.hit_cycles)
+        bound = cost.trap_entry
+        for ins in instructions:
+            if cost.classify(ins.mnemonic) == "crypto":
+                bound += crypto_worst
+            else:
+                bound += cost.worst_case(ins.mnemonic)
+        return bound
+
     def _on_code_write(self, page_index: int) -> None:
         self.blocks.invalidate_page(page_index)
-        if len(self.superblocks):
-            self.superblocks.invalidate_page(page_index)
         self._block_break = True
 
     def _timer_deliverable(self) -> bool:
@@ -643,8 +604,6 @@ class Hart:
             # all go through the instance attribute.
             self._enter_trap = enter_trap
         self.blocks.flush()
-        if len(self.superblocks):
-            self.superblocks.flush()
 
     def detach_tracer(self) -> None:
         """Undo the most recent :meth:`attach_tracer` exactly."""
@@ -654,8 +613,6 @@ class Hart:
         self._dispatch = saved["dispatch"]
         self._enter_trap = saved["enter_trap"]
         self.blocks.flush()
-        if len(self.superblocks):
-            self.superblocks.flush()
 
     def attach_speculation(self, spec) -> None:
         """Attach a :class:`repro.machine.spec.SpeculativeEngine`.

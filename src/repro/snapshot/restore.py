@@ -16,7 +16,6 @@ reinstated, while derived caches restart cold —
 
 from __future__ import annotations
 
-from repro.crypto.clb import CLBEntry
 from repro.crypto.engine import CryptoEngine
 from repro.crypto.keys import KeyFile, KeySelect
 from repro.errors import SnapshotError
@@ -163,7 +162,6 @@ def restore(snapshot: MachineSnapshot) -> Machine:
     for page_index in snapshot.memory.watched_pages:
         memory.watch_code_page(page_index)
     machine.hart.blocks.flush()
-    machine.hart.superblocks.flush()
     clear_decode_cache()
     if telemetry.active():
         telemetry.emit(

@@ -133,8 +133,8 @@ EVENT_SCHEMA: dict[str, tuple[str, ...]] = {
     BLOCK_JIT: ("pc", "instructions", "ns"),
     CODECACHE_LOAD: ("key", "entries", "ns"),
     CODECACHE_SAVE: ("key", "entries", "ns"),
-    CODECACHE_INSTALL: ("pc", "kind"),
-    CODECACHE_REJECT: ("pc", "kind"),
+    CODECACHE_INSTALL: ("pc", "privilege"),
+    CODECACHE_REJECT: ("pc", "privilege"),
     CODECACHE_EVICT: ("key",),
     KEY_WRITE: ("ksel", "half"),
     CLB_ENC_HIT: ("ksel",),

@@ -35,17 +35,9 @@ def _validators() -> dict:
     from repro.fuzz.campaign import REPORT_SCHEMA
     from repro.fuzz.dist import DIST_REPORT_SCHEMA
     from repro.fuzz.schema import validate_dist_report, validate_report
-    from repro.machine.codecache import (
-        PROFILE_SCHEMA as CODECACHE_PROFILE_SCHEMA,
-    )
-    from repro.machine.codecache import (
-        SCHEMA as CODECACHE_SCHEMA,
-    )
+    from repro.machine.codecache import SCHEMA as CODECACHE_SCHEMA
     from repro.machine.codecache import (
         validate_manifest as validate_codecache_manifest,
-    )
-    from repro.machine.codecache import (
-        validate_profile as validate_codecache_profile,
     )
     from repro.perf.runner import SCHEMA as BENCH_SCHEMA
     from repro.perf.schema import validate_bench, validate_history_entry
@@ -78,7 +70,6 @@ def _validators() -> dict:
         SPANS_SCHEMA: validate_spans,
         FLIGHTREC_SCHEMA: validate_flightrec,
         CODECACHE_SCHEMA: validate_codecache_manifest,
-        CODECACHE_PROFILE_SCHEMA: validate_codecache_profile,
         "repro.telemetry/events-1": validate_events,
         "repro.telemetry/chrome-trace-1": validate_chrome_trace,
         "repro.telemetry/profile-1": validate_profile,

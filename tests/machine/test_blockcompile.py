@@ -10,8 +10,6 @@ privilege keying, CSR termination, timer deadlines).
 
 from __future__ import annotations
 
-import pytest
-
 from repro.isa import assemble
 from repro.machine.blockcompile import compile_block
 from repro.machine.compare import architectural_state, diff_states

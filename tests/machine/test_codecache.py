@@ -15,14 +15,11 @@ import json
 from repro.isa import assemble
 from repro.kernel.bootcache import program_digest
 from repro.machine.codecache import (
-    BlockProfile,
     CodeCache,
     CodeRecorder,
     SCHEMA,
-    build_superblocks,
     cache_key,
     config_signature,
-    select_traces,
     validate_manifest,
 )
 from repro.machine.compare import architectural_state, diff_states
@@ -43,7 +40,7 @@ loop:
 {HALT}
 """
 
-#: Two chained hot blocks so trace selection has an edge to follow.
+#: A second program (different text from LOOP): two chained hot blocks.
 CHAIN = f"""
 _start:
     li s0, 0
@@ -109,42 +106,6 @@ class TestRoundTrip:
         assert warm.hart.compiled_blocks == 0
         assert cold.hart.compiled_blocks > 0
         assert cache.stats()["hits"] == 1
-
-    def test_superblocks_round_trip(self, tmp_path):
-        # Profile a block-interpreter run, select traces, build
-        # superblocks with a recorder, persist, and adopt them warm.
-        program = assemble(CHAIN)
-        profiled = machine_with_keys(program)
-        profiled.hart.compile_enabled = False
-        profile = BlockProfile()
-        profiled.hart.blocks.trace_hook = profile.hook_for(profiled.hart)
-        profiled.run(1_000_000, fast=True)
-        traces = select_traces(profile)
-        assert traces, "chained loop produced no traces"
-
-        recorder = CodeRecorder()
-        built = build_superblocks(profiled.hart, traces, recorder)
-        assert built >= 1
-        kinds = {entry["kind"] for entry in recorder.entries}
-        assert "superblock" in kinds
-
-        cache, key, signature, text = _save(
-            tmp_path, program, profiled, recorder
-        )
-        warm = machine_with_keys(assemble(CHAIN))
-        # Superblock dispatch rides the compiled tier (the profiled
-        # recording run had it off; the signature only matters for the
-        # key, which _save computed from the profiled hart).
-        loaded = cache.load(key, text_digest=text)
-        assert loaded is not None
-        installed, rejected = cache.install(warm.hart, loaded)
-        assert installed == len(recorder) and rejected == 0
-
-        step = machine_with_keys(assemble(CHAIN))
-        step.run(1_000_000, fast=False)
-        warm.run(1_000_000, fast=True)
-        _assert_equal(step, warm)
-        assert warm.hart.superblocks.hits > 0
 
 
 class TestInvalidationSeams:
@@ -215,25 +176,6 @@ patch_site:
                           text_digest=other_text) is None
         assert cache.stats()["stale"] == 1
 
-    def test_restore_flushes_superblocks(self):
-        from repro.snapshot import capture, restore
-
-        program = assemble(CHAIN)
-        machine = machine_with_keys(program)
-        machine.hart.compile_enabled = False
-        profile = BlockProfile()
-        machine.hart.blocks.trace_hook = profile.hook_for(machine.hart)
-        machine.run(1_000_000, fast=True)
-        machine.hart.blocks.trace_hook = None
-        assert build_superblocks(
-            machine.hart, select_traces(profile)
-        ) >= 1
-        restored = restore(capture(machine))
-        assert restored.hart.superblocks.lookup(
-            (program.entry, 3)
-        ) is None
-        assert restored.hart.superblocks.misses == 1
-
 
 class TestConcurrencyAndRedPaths:
     def test_concurrent_writers_merge_without_loss(self, tmp_path):
@@ -274,6 +216,15 @@ class TestConcurrencyAndRedPaths:
         cache.save(key, recorder, signature, text)
         assert cache.load(key, signature=signature,
                           text_digest=text) is not None
+        # A manifest written under the previous schema id misses the
+        # same way.
+        path = cache.root / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["schema"] = "repro.machine/codecache-1"
+        path.write_text(json.dumps(manifest), "utf-8")
+        assert cache.load(key, signature=signature,
+                          text_digest=text) is None
+        assert cache.stats()["corrupt"] == 2
 
     def test_corrupt_module_is_a_miss(self, tmp_path):
         program, cold, recorder = _record_run(LOOP)
@@ -292,10 +243,10 @@ class TestConcurrencyAndRedPaths:
         path = cache.root / "manifest.json"
         manifest = json.loads(path.read_text())
         row = manifest["sets"][key]["entries"][0]
-        pc, raw = row["segments"][0]
-        row["segments"][0] = [pc, ("00000000" + raw[8:])
-                              if not raw.startswith("00000000")
-                              else ("11111111" + raw[8:])]
+        raw = row["raw"]
+        row["raw"] = (("00000000" + raw[8:])
+                      if not raw.startswith("00000000")
+                      else ("11111111" + raw[8:]))
         path.write_text(json.dumps(manifest), "utf-8")
         assert cache.load(key, signature=signature,
                           text_digest=text) is None
@@ -318,6 +269,44 @@ class TestConcurrencyAndRedPaths:
         assert not (cache.root / f"mod-{keys[0]}.code").exists()
         assert (cache.root / f"mod-{keys[1]}.py").exists()
 
+    def test_manifest_cannot_name_files_outside_the_root(self, tmp_path):
+        # Module paths come from the set key alone, and only
+        # cache_key-shaped keys are accepted.  A planted row whose key
+        # walks out of the root (or whose legacy "module" field names
+        # an absolute path) must be neither imported by load() nor
+        # unlinked by eviction.
+        program, cold, recorder = _record_run(LOOP)
+        signature = config_signature(cold.hart)
+        text = program_digest(program)
+        marker = tmp_path / "executed"
+        sentinel = tmp_path / "sentinel.py"
+        sentinel.write_text(f"open({str(marker)!r}, 'w').close()\n")
+        root = tmp_path / "cache"
+        (root / "mod-x").mkdir(parents=True)
+        planted = "x/../../sentinel"
+        assert (root / f"mod-{planted}.py").resolve() == sentinel.resolve()
+        (root / "manifest.json").write_text(json.dumps({
+            "schema": SCHEMA, "schema_version": 2, "clock": 1,
+            "stats": {},
+            "sets": {planted: {
+                "module": str(sentinel), "config": signature,
+                "text_digest": text, "last_used": 1, "entries": [],
+            }},
+        }), "utf-8")
+
+        cache = CodeCache(root=root, max_sets=1)
+        assert cache.load(planted) is None
+        assert not marker.exists()
+        assert cache.stats()["corrupt"] == 1
+
+        key = cache_key(text, signature)
+        cache.save(key, recorder, signature, text)
+        assert sentinel.exists()
+        assert cache.stats()["corrupt"] == 2
+        manifest = json.loads((root / "manifest.json").read_text())
+        assert set(manifest["sets"]) == {key}
+        assert validate_manifest(manifest) == []
+
 
 class TestManifestValidator:
     def test_real_manifest_validates(self, tmp_path):
@@ -339,7 +328,11 @@ class TestManifestValidator:
         assert validate_manifest(broken)
 
         broken = json.loads(json.dumps(doc))
-        broken["sets"][key]["entries"][0]["kind"] = "megablock"
+        broken["sets"][key]["entries"][0]["raw"] = "not hex"
+        assert validate_manifest(broken)
+
+        broken = json.loads(json.dumps(doc))
+        broken["sets"]["../escape"] = broken["sets"].pop(key)
         assert validate_manifest(broken)
 
         broken = json.loads(json.dumps(doc))

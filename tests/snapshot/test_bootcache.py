@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.attacks.base import Attack
 from repro.attacks.suite import format_table, run_suite
+from repro.bench.workloads.base import make_user_module
 from repro.compiler.ir import Const
 from repro.kernel import BootCache, KernelConfig, KernelSession
 from repro.kernel.structs import SYS_EXIT
@@ -14,6 +15,18 @@ def _exit_module(code: int):
         syscall(SYS_EXIT, Const(code))
 
     return Attack.user_program(body)
+
+
+def _compute_module(iterations: int):
+    """A user loop hot enough to cross the compile threshold."""
+
+    def body(lb):
+        acc = lb.accumulate()
+        lb.loop(iterations,
+                lambda inner, i: inner.add_into(acc, inner.b.xor(i, 0x5A)))
+        lb.exit(lb.b.and_(acc, 0xFF))
+
+    return make_user_module(body)
 
 
 class TestCachedSessions:
@@ -245,30 +258,53 @@ class TestSharedLayouts:
         assert len(cache._layouts) == MAX_LAYOUT_TABLES
 
 
-class TestTemplateCacheKeys:
-    def test_templates_publish_persistent_cache_keys(self):
-        cache = BootCache()
-        KernelSession(
-            KernelConfig.baseline(), _exit_module(1), boot_cache=cache
-        ).run()
-        KernelSession(
-            KernelConfig.full(), _exit_module(1), boot_cache=cache
-        ).run()
-        keys = cache.template_cache_keys()
-        assert len(keys) == 2
-        values = list(keys.values())
-        # 16-hex-digit keys, distinct per configuration.
-        assert all(
-            len(value) == 16 and int(value, 16) >= 0 for value in values
-        )
-        assert len(set(values)) == 2
+class TestSharedCode:
+    def test_sibling_fork_binds_compiled_code(self):
+        # The first fork compiles the hot loop and publishes it; the
+        # second adopts the loop's layout and rebinds that code instead
+        # of compiling, and still ends bit-identical to a fresh boot.
+        from repro.machine.compare import state_digest
 
-    def test_same_config_same_key_across_caches(self):
-        keys = []
-        for _ in range(2):
-            cache = BootCache()
-            KernelSession(
-                KernelConfig.full(), _exit_module(1), boot_cache=cache
-            ).run()
-            keys.extend(cache.template_cache_keys().values())
-        assert keys[0] == keys[1]
+        config = KernelConfig.full()
+        fresh = KernelSession(config, _compute_module(200))
+        fresh.run()
+        cache = BootCache()
+        first = KernelSession(config, _compute_module(200), boot_cache=cache)
+        first.run()
+        assert first.machine.hart.compiled_blocks >= 1
+        assert cache.stats()["shared_code_binds"] == 0
+        second = KernelSession(config, _compute_module(200),
+                               boot_cache=cache)
+        second.run()
+        assert cache.stats()["shared_code_binds"] >= 1
+        assert second.machine.hart.compiled_blocks == 0
+        assert state_digest(second.machine) == state_digest(fresh.machine)
+
+    def test_bind_rejects_different_raw_bytes(self):
+        from repro.isa import assemble
+        from repro.machine.codecache import SharedCodeRegistry
+        from tests.conftest import HALT, machine_with_keys
+
+        program = assemble(f"""
+_start:
+    li s0, 0
+    li s1, 40
+loop:
+    addi s0, s0, 1
+    blt s0, s1, loop
+{HALT}
+""")
+        machine = machine_with_keys(program)
+        machine.hart.compile_threshold = 1
+        registry = SharedCodeRegistry()
+        machine.hart.shared_code = registry
+        machine.run(100_000, fast=True)
+        pc = program.symbols["loop"]
+        block = machine.hart.blocks.peek((pc, 3))
+        assert block is not None and block.compiled is not None
+        raw = bytes(machine.memory.read_bytes(pc, 4 * len(block.ops)))
+        assert registry.bind(machine.hart, (pc, 3), raw) is not None
+        tampered = bytes([raw[0] ^ 1]) + raw[1:]
+        assert registry.bind(machine.hart, (pc, 3), tampered) is None
+        assert registry.stats()["rejected"] == 1
+        assert registry.binds == 1
