@@ -28,7 +28,6 @@ from repro.fuzz.dist import (
     run_distributed,
 )
 from repro.fuzz.oracles import (
-    run_cached_vs_fresh,
     run_differential,
     run_snapshot,
     run_spec_convergence,
@@ -39,19 +38,12 @@ DEFAULT_CORPUS = Path(__file__).resolve().parents[3] / "tests/fuzz/corpus"
 
 
 def _replay(path: str, max_steps: int) -> int:
-    import tempfile
-
     case = case_from_file(path)
     failures = 0
-    with tempfile.TemporaryDirectory(
-        prefix="repro-fuzz-codecache-"
-    ) as scratch:
-        cached = run_cached_vs_fresh(case, scratch, max_steps=max_steps)
     for label, outcome in (
         ("step_vs_block", run_differential(case, max_steps=max_steps)),
         ("snapshot", run_snapshot(case, Random(0), max_steps=max_steps)),
         ("spec", run_spec_convergence(case, max_steps=max_steps)),
-        ("codecache", cached),
     ):
         status = "ok" if outcome.ok else "DIVERGENCE"
         print(f"{label:14s} {status}  {outcome.detail}")
@@ -177,11 +169,6 @@ def main(argv=None) -> int:
                         "the speculative front-end and require "
                         "bit-identical post-squash state "
                         "(spec_convergence oracle)")
-    parser.add_argument("--codecache", action="store_true",
-                        help="round-trip every exec case's compiled set "
-                        "through the on-disk code cache and require the "
-                        "cached re-run to be bit-identical "
-                        "(cached_vs_fresh oracle)")
     parser.add_argument("--replay", metavar="FILE", default=None,
                         help="re-run one seed/repro JSON file and exit")
     args = parser.parse_args(argv)
@@ -204,7 +191,6 @@ def main(argv=None) -> int:
             emit_dir=args.emit_dir,
             telemetry=args.telemetry,
             spec=args.spec,
-            codecache=args.codecache,
             shard_timeout=args.shard_timeout or None,
             parallel=not args.sequential,
             flightrec=args.flightrec,
@@ -225,8 +211,7 @@ def main(argv=None) -> int:
                         max_steps=max_steps,
                         emit_dir=args.emit_dir,
                         telemetry=args.telemetry,
-                        spec=args.spec,
-                        codecache=args.codecache)
+                        spec=args.spec)
     report = run_campaign(config, corpus=corpus)
     text = json.dumps(report, indent=2, sort_keys=True)
 

@@ -30,7 +30,6 @@ from repro.fuzz.irgen import random_steps
 from repro.fuzz.minimize import ddmin_list, minimize
 from repro.fuzz.oracles import (
     CASE_STEP_BUDGET,
-    run_cached_vs_fresh,
     run_compiler,
     run_differential,
     run_snapshot,
@@ -67,13 +66,6 @@ class FuzzConfig:
     #: default; enabling it adds a ``spec_convergence`` oracle block
     #: and a ``spec: true`` marker to the report, nothing else.
     spec: bool = False
-    #: Re-run every exec case through a persisted-code round trip: the
-    #: case's compiled set is recorded, saved to disk, imported into a
-    #: pristine machine, and the cached run must be bit-identical to
-    #: the fresh compiled run.  Off by default; enabling it adds a
-    #: ``cached_vs_fresh`` oracle block and a ``codecache: true``
-    #: marker to the report, nothing else.
-    codecache: bool = False
 
 
 @dataclass
@@ -107,17 +99,6 @@ class Campaign:
                 "windows": 0,
                 "transient_instructions": 0,
             }
-        if self.config.codecache:
-            self.stats["cached_vs_fresh"] = {
-                "cases": 0,
-                "divergences": 0,
-                "entries": 0,
-                "installed": 0,
-                "rejected": 0,
-            }
-        #: Scratch directory for the cached_vs_fresh oracle's disk
-        #: round trips; created for the duration of :meth:`run`.
-        self._codecache_root = None
         self._interesting = 0
         #: ``(case, new_coverage_keys)`` for every case that earned new
         #: coverage — the raw material for cross-shard corpus merging
@@ -168,25 +149,12 @@ class Campaign:
         n_compiler = max(1, config.budget // config.compiler_share)
         n_exec = max(0, config.budget - n_compiler)
 
-        scratch = None
-        if config.codecache:
-            import tempfile
+        for index in range(n_exec):
+            case = self._next_case(rng, generator, pool, index)
+            self._run_exec_case(case, rng, pool, index)
 
-            scratch = tempfile.TemporaryDirectory(
-                prefix="repro-fuzz-codecache-"
-            )
-            self._codecache_root = scratch.name
-        try:
-            for index in range(n_exec):
-                case = self._next_case(rng, generator, pool, index)
-                self._run_exec_case(case, rng, pool, index)
-
-            for index in range(n_compiler):
-                self._run_compiler_case(rng, index)
-        finally:
-            if scratch is not None:
-                self._codecache_root = None
-                scratch.cleanup()
+        for index in range(n_compiler):
+            self._run_compiler_case(rng, index)
 
         return self.report()
 
@@ -243,27 +211,6 @@ class Campaign:
                     case, spec_outcome,
                     lambda c: not run_spec_convergence(
                         c, max_steps=config.max_steps
-                    ).ok,
-                )
-
-        if config.codecache:
-            cache_outcome = run_cached_vs_fresh(
-                case, self._codecache_root, max_steps=config.max_steps
-            )
-            cache_stats = self.stats["cached_vs_fresh"]
-            cache_stats["cases"] += 1
-            cache_stats["entries"] += getattr(cache_outcome, "entries", 0)
-            cache_stats["installed"] += getattr(
-                cache_outcome, "installed", 0
-            )
-            cache_stats["rejected"] += getattr(cache_outcome, "rejected", 0)
-            if not cache_outcome:
-                cache_stats["divergences"] += 1
-                self._record_failure(
-                    case, cache_outcome,
-                    lambda c: not run_cached_vs_fresh(
-                        c, self._codecache_root,
-                        max_steps=config.max_steps,
                     ).ok,
                 )
 
@@ -348,7 +295,6 @@ class Campaign:
             + self.stats["snapshot"]["divergences"]
             + self.stats["compiler"]["divergences"]
             + self.stats.get("spec_convergence", {}).get("divergences", 0)
-            + self.stats.get("cached_vs_fresh", {}).get("divergences", 0)
         )
 
     def report(self) -> dict:
@@ -385,10 +331,6 @@ class Campaign:
             # entirely when speculation is off, keeping default reports
             # bit-identical.
             report["spec"] = True
-        if self.config.codecache:
-            # Same contract as the spec marker: travels with the
-            # cached_vs_fresh oracle block, absent otherwise.
-            report["codecache"] = True
         return report
 
 

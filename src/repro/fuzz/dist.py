@@ -111,9 +111,6 @@ class DistConfig:
     #: Run the ``spec_convergence`` oracle in every shard (see
     #: :class:`repro.fuzz.campaign.FuzzConfig`).
     spec: bool = False
-    #: Run the ``cached_vs_fresh`` persisted-code oracle in every
-    #: shard (see :class:`repro.fuzz.campaign.FuzzConfig`).
-    codecache: bool = False
     #: Per-round wall-clock limit (seconds) a shard may take before it
     #: is terminated and merged as ``timeout``.  ``None``: wait forever.
     shard_timeout: float | None = 600.0
@@ -166,7 +163,6 @@ def run_shard(
         emit_dir=emit_dir,
         telemetry=config.telemetry,
         spec=config.spec,
-        codecache=config.codecache,
     )
     campaign = Campaign(fuzz_config, corpus=list(corpus))
     start = time.perf_counter()
@@ -469,8 +465,6 @@ def run_distributed(config: DistConfig, corpus=None) -> dict:
         report["telemetry"] = telemetry_totals
     if config.spec:
         report["spec"] = True
-    if config.codecache:
-        report["codecache"] = True
     return report
 
 

@@ -18,10 +18,8 @@ reproduce identically).
    results, and the protected build's sensitive field is not stored in
    plaintext.
 
-Two more oracles are opt-in: :func:`run_spec_convergence` (speculation
-must be architecturally invisible) and :func:`run_cached_vs_fresh`
-(code persisted through the on-disk code cache must be architecturally
-invisible when imported into a fresh machine).
+One more oracle is opt-in: :func:`run_spec_convergence` (speculation
+must be architecturally invisible).
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ __all__ = [
     "run_differential",
     "run_snapshot",
     "run_spec_convergence",
-    "run_cached_vs_fresh",
     "run_compiler",
     "roundtrip_words",
 ]
@@ -326,82 +323,4 @@ def run_spec_convergence(
         outcome = _compare(ref, dut, "spec_convergence", case.name)
     outcome.windows = spec.stats.windows
     outcome.transient_instructions = spec.stats.transient_instructions
-    return outcome
-
-
-# -- oracle 5: persisted code cache -------------------------------------------
-
-
-def run_cached_vs_fresh(
-    case: FuzzCase,
-    cache_root: str,
-    max_steps: int = CASE_STEP_BUDGET,
-) -> OracleOutcome:
-    """Persisted compiled code must be architecturally invisible.
-
-    The case runs once on a fresh machine with the compile threshold
-    pinned to 1 while a :class:`~repro.machine.codecache.CodeRecorder`
-    captures every compiled block; the set then makes a real disk
-    round trip through ``cache_root`` (manifest + generated module +
-    bytecode sidecar) and is installed into a second, pristine machine,
-    which runs the same case.  Both runs must be bit-identical.
-
-    Rejected installs are legal — a case that stored over its own text
-    before a block was recorded fails the byte validation on the
-    pristine machine, which simply recompiles the block — but a
-    save → load miss of the key just written is a persistence failure
-    in its own right.  The cache is bounded tightly (``max_sets=8``)
-    so a long campaign also exercises LRU eviction.
-    """
-    from repro.kernel.bootcache import program_digest
-    from repro.machine.codecache import (
-        CodeCache,
-        CodeRecorder,
-        cache_key,
-        config_signature,
-    )
-
-    program = assemble(harness_source(list(case.body_words), case.reg_seed))
-    fresh = build_machine(program)
-    fresh.hart.compile_threshold = 1
-    recorder = CodeRecorder()
-    fresh.hart.code_collector = recorder
-    try:
-        error_fresh = _run_guarded(fresh, max_steps, fast=True)
-    finally:
-        fresh.hart.code_collector = None
-
-    text_digest = program_digest(program)
-    signature = config_signature(fresh.hart)
-    key = cache_key(text_digest, signature)
-    cache = CodeCache(root=cache_root, max_sets=8)
-    cache.save(key, recorder, signature, text_digest)
-
-    cached = build_machine(program)
-    cached.hart.compile_threshold = 1
-    loaded = cache.load(
-        key,
-        signature=config_signature(cached.hart),
-        text_digest=text_digest,
-    )
-    if loaded is None:
-        return OracleOutcome(
-            False, "cached_vs_fresh",
-            detail=f"{case.name}: save -> load round trip missed the "
-            f"key just written ({cache.stats()})",
-        )
-    installed, rejected = cache.install(cached.hart, loaded)
-    error_cached = _run_guarded(cached, max_steps, fast=True)
-
-    if error_fresh != error_cached:
-        outcome = OracleOutcome(
-            False, "cached_vs_fresh",
-            detail=f"errors diverged: fresh={error_fresh!r} "
-            f"cached={error_cached!r}",
-        )
-    else:
-        outcome = _compare(fresh, cached, "cached_vs_fresh", case.name)
-    outcome.entries = len(recorder)
-    outcome.installed = installed
-    outcome.rejected = rejected
     return outcome

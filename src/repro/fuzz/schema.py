@@ -84,32 +84,6 @@ def _check_spec(document, problems) -> None:
         _check_int(stats, key, problems, where="oracles.spec_convergence.")
 
 
-def _check_codecache(document, problems) -> None:
-    """The ``codecache`` marker and the ``cached_vs_fresh`` oracle
-    block travel together — one without the other is malformed."""
-    oracles = document.get("oracles")
-    stats = oracles.get("cached_vs_fresh") if isinstance(oracles, dict) \
-        else None
-    if not document.get("codecache"):
-        if stats is not None:
-            problems.append(
-                "oracles.cached_vs_fresh present without 'codecache': true"
-            )
-        return
-    if document.get("codecache") is not True:
-        problems.append(
-            f"'codecache' is not true: {document.get('codecache')!r}"
-        )
-    if not isinstance(stats, dict):
-        problems.append(
-            "'codecache': true but oracles.cached_vs_fresh missing"
-        )
-        return
-    for key in ("cases", "divergences", "entries", "installed",
-                "rejected"):
-        _check_int(stats, key, problems, where="oracles.cached_vs_fresh.")
-
-
 def _check_failures(failures, problems) -> None:
     if not isinstance(failures, list):
         problems.append("'failures' is not a list")
@@ -134,7 +108,6 @@ def validate_report(document: dict) -> list[str]:
         _check_int(document, key, problems)
     _check_oracles(document.get("oracles"), problems)
     _check_spec(document, problems)
-    _check_codecache(document, problems)
     _check_coverage(document.get("coverage"), problems)
     _check_failures(document.get("failures"), problems)
     return problems
@@ -151,7 +124,6 @@ def validate_dist_report(document: dict) -> list[str]:
         _check_int(document, key, problems)
     _check_oracles(document.get("oracles"), problems)
     _check_spec(document, problems)
-    _check_codecache(document, problems)
     _check_coverage(document.get("coverage"), problems)
     _check_failures(document.get("failures"), problems)
 

@@ -33,7 +33,7 @@ from collections import OrderedDict
 from repro.crypto.engine import CryptoEngine
 from repro.crypto.keys import KeySelect
 from repro.kernel import layout as kmap
-from repro.machine.codecache import SharedCodeRegistry
+from repro.machine.blockcompile import SharedCodeRegistry
 from repro.machine.machine import Machine
 from repro.snapshot import fork
 
@@ -101,6 +101,10 @@ class BootCache:
         self._shared_code: OrderedDict[tuple, SharedCodeRegistry] = (
             OrderedDict()
         )
+        #: Binds made through shared-code registries that
+        #: :meth:`_trim_tables` has since dropped, so
+        #: ``shared_code_binds`` keeps counting them.
+        self._trimmed_binds = 0
         #: Template boots performed (the expensive operation saved).
         self.boots = 0
         #: Forks handed out.
@@ -124,7 +128,7 @@ class BootCache:
             "evictions": self.evictions,
             "layout_tables": len(self._layouts),
             "shared_code_tables": len(self._shared_code),
-            "shared_code_binds": sum(
+            "shared_code_binds": self._trimmed_binds + sum(
                 registry.binds for registry in self._shared_code.values()
             ),
         }
@@ -203,6 +207,8 @@ class BootCache:
                     (k for k in tables if k not in self._templates),
                     next(iter(tables)),
                 )
+                if tables is self._shared_code:
+                    self._trimmed_binds += tables[victim].binds
                 del tables[victim]
 
     @staticmethod

@@ -45,6 +45,7 @@ Exactness rules mirrored from the interpreter, in codegen form:
 from __future__ import annotations
 
 import time
+from types import FunctionType
 
 from repro.errors import IntegrityViolation, MemoryFault, PrivilegeError
 from repro.isa import instructions as tab
@@ -53,7 +54,7 @@ from repro.machine.trap import Cause, Trap
 from repro.telemetry.events import BLOCK_JIT
 from repro.utils.bits import MASK64, to_signed64
 
-__all__ = ["compile_block"]
+__all__ = ["SharedCodeRegistry", "compile_block"]
 
 _H = 1 << 63
 
@@ -455,6 +456,82 @@ def _build_env(hart) -> dict:
     }
 
 
+def _read_raw(hart, pc: int, num_instructions: int) -> bytes | None:
+    mem = hart._code_mem
+    try:
+        return bytes(mem.read_bytes(pc, 4 * num_instructions))
+    except (MemoryFault, AttributeError):
+        return None
+
+
+class SharedCodeRegistry:
+    """In-process compiled-code sharing across forks of one template.
+
+    The boot cache installs one registry per template, next to the
+    shared layout table.  The first fork to compile a block publishes
+    its raw bytes, its code object and the block's decode-derived
+    globals: the ``_k<i>``/``_b<i>`` crypto constants and the ``_il``
+    terminal instruction.  A sibling that adopts the matching layout
+    rebinds the code object to its own :func:`_build_env` plus those
+    globals, with ``_hl`` looked up in its own dispatch table, so a
+    fork skips compilation exactly as it already skips translation.
+    Code objects are immutable and the globals are decode-derived, so
+    sharing needs no locking and no invalidation beyond the byte
+    compare.
+    """
+
+    def __init__(self, capacity: int = 4096):
+        self.capacity = capacity
+        self._entries: dict[tuple[int, int], tuple] = {}
+        self.published = 0
+        self.binds = 0
+        self.rejected = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def publish(self, hart, block, fn, env: dict) -> None:
+        key = (block.entry_pc, int(block.privilege))
+        if key in self._entries or len(self._entries) >= self.capacity:
+            return
+        raw = _read_raw(hart, block.entry_pc, len(block.ops))
+        if raw is None:
+            return
+        consts = {
+            name: value for name, value in env.items() if name != "_hl"
+        }
+        self._entries[key] = (raw, fn.__code__, consts)
+        self.published += 1
+
+    def bind(self, hart, key: tuple[int, int], raw: bytes):
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        stored_raw, code, consts = entry
+        if stored_raw != raw:
+            self.rejected += 1
+            return None
+        env = _build_env(hart)
+        env.update(consts)
+        last_ins = consts.get("_il")
+        if last_ins is not None:
+            handler = hart._dispatch.get(last_ins.mnemonic)
+            if handler is None:
+                self.rejected += 1
+                return None
+            env["_hl"] = handler
+        self.binds += 1
+        return FunctionType(code, env, code.co_name)
+
+    def stats(self) -> dict:
+        return {
+            "entries": len(self._entries),
+            "published": self.published,
+            "binds": self.binds,
+            "rejected": self.rejected,
+        }
+
+
 def compile_block(hart, block):
     """Compile ``block`` for ``hart``; returns the function or None.
 
@@ -481,9 +558,6 @@ def compile_block(hart, block):
     fn = namespace["_block"]
     block.compiled = fn
     hart.compiled_blocks += 1
-    collector = hart.code_collector
-    if collector is not None:
-        collector.record_block(hart, block, source)
     shared = hart.shared_code
     if shared is not None:
         shared.publish(hart, block, fn, generator.env)

@@ -130,11 +130,7 @@ class Hart:
         #: Set mid-block by device stores and code-page writes; forces a
         #: return to the machine loop before the next predecoded op.
         self._block_break = False
-        # -- tier 4: persistent and in-process compiled-code reuse ---------
-        #: :class:`repro.machine.codecache.CodeRecorder` capturing
-        #: compiled sources for persistence, or None.
-        self.code_collector = None
-        #: :class:`repro.machine.codecache.SharedCodeRegistry` shared
+        #: :class:`repro.machine.blockcompile.SharedCodeRegistry` shared
         #: across forks of one template (installed by the boot cache),
         #: or None.  Published on compile, bound on layout adoption.
         self.shared_code = None
@@ -432,8 +428,7 @@ class Hart:
         consume: each instruction's worst case plus one trap entry (a
         mid-block trap charges it).  This is the ``cycle_bound`` the
         timer-deadline guard in :meth:`run_block` and
-        :meth:`_run_compiled` relies on, for translated and cache-
-        installed blocks alike."""
+        :meth:`_run_compiled` relies on."""
         cost = self.cost
         crypto_worst = max(self.engine.miss_cycles, self.engine.hit_cycles)
         bound = cost.trap_entry

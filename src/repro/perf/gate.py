@@ -27,25 +27,16 @@ import argparse
 import json
 import sys
 
-__all__ = ["GATES", "REQUIRED_WORKLOADS", "check_report", "check_trend"]
+__all__ = ["GATES", "check_report", "check_trend"]
 
 #: ``(workload, metric path, floor)`` — every gated ratio must stay at
 #: or above its floor.  ``kernel_boot`` is the canonical dispatch-bound
 #: workload: if compiled blocks stop beating the block interpreter
-#: there, the tier has regressed everywhere.  ``kernel_boot_warm_start``
-#: gates tier 4: a warm start importing the persisted code set must
-#: have the full compiled set live at least 3x sooner than a cold
-#: start compiling it from scratch.
+#: there, the tier has regressed everywhere.
 GATES = (
     ("kernel_boot", "compiled_speedup_over_block", 1.2),
     ("kernel_boot", "speedup", 2.0),
-    ("kernel_boot_warm_start", "warm_vs_cold", 3.0),
 )
-
-#: Workloads that must be present in any gated report.  Other gated
-#: workloads have their floor applied only when present, so partial
-#: runs (``--only kernel_boot``) still gate what they measured.
-REQUIRED_WORKLOADS = ("kernel_boot",)
 
 
 def check_report(report: dict) -> list[str]:
@@ -54,7 +45,7 @@ def check_report(report: dict) -> list[str]:
     workloads = report.get("workloads", {})
 
     for name, data in workloads.items():
-        if data.get("kind") not in ("interpreter", "codecache"):
+        if data.get("kind") != "interpreter":
             continue
         if data.get("equivalent") is not True:
             failures.append(f"{name}: not marked architecturally equivalent")
@@ -62,8 +53,7 @@ def check_report(report: dict) -> list[str]:
     for name, metric, floor in GATES:
         data = workloads.get(name)
         if data is None:
-            if name in REQUIRED_WORKLOADS:
-                failures.append(f"{name}: workload missing from report")
+            failures.append(f"{name}: workload missing from report")
             continue
         value = data.get(metric)
         if not isinstance(value, (int, float)):

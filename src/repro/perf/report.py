@@ -41,16 +41,6 @@ def format_report(report: dict) -> str:
                 f"{suite['speedup']:>7.2f}x  "
                 f"{'yes' if data['equivalent'] else 'NO'}"
             )
-        elif data["kind"] == "codecache":
-            # Columns repurposed: persisted entries, cold vs warm
-            # time-to-compiled-set, and the warm-start speedup.
-            lines.append(
-                f"{name:24s} {data['entries']:>10} "
-                f"{_seconds(data['cold']['compiled_set_seconds']):>12s} "
-                f"{_seconds(data['warm']['compiled_set_seconds']):>12s} "
-                f"{data['warm_vs_cold']:>7.2f}x  "
-                f"{'yes' if data['equivalent'] else 'NO'}"
-            )
         else:
             lines.append(
                 f"{name:24s} {data['operations']:>10} "
@@ -62,14 +52,6 @@ def format_report(report: dict) -> str:
         if data["kind"] == "engine" and "stats" in data:
             lines.append(f"{name}: {_engine_summary(data['stats'])}")
     return "\n".join(line.rstrip() for line in lines)
-
-
-def _seconds(value: float | None) -> str:
-    if value is None:
-        return "-"
-    if value < 1:
-        return f"{value * 1000:.0f}ms"
-    return f"{value:.2f}s"
 
 
 def _rate(value: float | None) -> str:

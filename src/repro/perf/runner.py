@@ -19,7 +19,6 @@ from repro.perf.workloads import (
     WORKLOADS,
     run_attack_replay,
     run_snapshot_workload,
-    run_warm_start_workload,
 )
 
 SCHEMA = "repro.perf/1"
@@ -197,30 +196,6 @@ def _run_snapshot_workload(quick: bool) -> dict:
     }
 
 
-def _run_warm_start_workload(quick: bool) -> dict:
-    """Persistent code-cache warm start vs cold start.
-
-    Runs once regardless of ``repeats``: the cold half deliberately
-    rebuilds the kernel from scratch, which dwarfs scheduler noise.
-    """
-    data = run_warm_start_workload(quick)
-    if not data["equivalent"]:
-        raise EquivalenceError(
-            "kernel_boot_warm_start: cached warm run diverged from the "
-            "cold run"
-        )
-    return {
-        "kind": "codecache",
-        "description": (
-            "Time until kernel_boot's full compiled block set is live, "
-            "cold (translate + profile + compile every hot block) vs "
-            "warm (import the persisted set and byte-validate); runs "
-            "must be bit-identical."
-        ),
-        **data,
-    }
-
-
 def _run_engine_workload(workload, quick: bool, repeats: int) -> dict:
     best = None
     stats = None
@@ -289,8 +264,6 @@ def run_perf(
             results[workload.name] = _run_interp_workload(
                 workload, quick, repeats
             )
-    if "kernel_boot_warm_start" in selected:
-        results["kernel_boot_warm_start"] = _run_warm_start_workload(quick)
     if "attack_replay" in selected:
         results["attack_replay"] = _run_attack_replay(quick, repeats)
     if "snapshot" in selected:

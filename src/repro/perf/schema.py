@@ -14,7 +14,7 @@ from repro.perf.trend import HISTORY_SCHEMA, TRACKED_METRICS
 
 __all__ = ["validate_bench", "validate_history_entry"]
 
-_KNOWN_KINDS = ("interpreter", "snapshot", "engine", "codecache")
+_KNOWN_KINDS = ("interpreter", "snapshot", "engine")
 
 
 def _is_number(value) -> bool:
@@ -61,21 +61,6 @@ def validate_bench(document: dict) -> list[str]:
             for key in ("operations", "operations_per_second"):
                 if not _is_number(data.get(key)):
                     problems.append(f"{where}: missing numeric {key!r}")
-        elif kind == "codecache":
-            if data.get("equivalent") is not True:
-                problems.append(
-                    f"{where}: not marked architecturally equivalent"
-                )
-            if not _is_number(data.get("warm_vs_cold")):
-                problems.append(f"{where}: missing numeric 'warm_vs_cold'")
-            for half in ("cold", "warm"):
-                row = data.get(half)
-                if not isinstance(row, dict) or not _is_number(
-                    row.get("wall_seconds")
-                ):
-                    problems.append(
-                        f"{where}.{half}: missing numeric 'wall_seconds'"
-                    )
     return problems
 
 

@@ -74,7 +74,6 @@ TRACKED_METRICS: dict[str, float] = {
     "kernel_boot_protected.fast.ips": 0.60,
     "syscall_storm.fast.ips": 0.60,
     "qarma_throughput.ops_per_second": 0.60,
-    "cache.warm_vs_cold": 0.60,
     "fuzz.coverage.instruction_pairs": 0.10,
     "fuzz.coverage.trap_edges": 0.25,
     "fuzz.coverage.clb_events": 0.25,
@@ -141,8 +140,6 @@ def extract_metrics(
     qarma = workloads.get("qarma_throughput", {})
     put("qarma_throughput.ops_per_second",
         qarma.get("operations_per_second"))
-    warm = workloads.get("kernel_boot_warm_start", {})
-    put("cache.warm_vs_cold", warm.get("warm_vs_cold"))
 
     coverage = (fuzz_report or {}).get("coverage", {})
     put("fuzz.coverage.instruction_pairs",

@@ -268,133 +268,6 @@ def run_snapshot_workload(quick: bool) -> dict:
     }
 
 
-# -- persistent code cache warm start ---------------------------------------------
-
-
-def run_warm_start_workload(quick: bool) -> dict:
-    """Time-to-compiled-set, cold vs warm from the on-disk cache.
-
-    The gated number is how long each start takes to have the
-    workload's *complete* compiled block set live — the apples-to-
-    apples point, since the warm start installs every persisted entry
-    before the first instruction executes, while the cold start only
-    reaches the same state when its *last* hot block crosses the
-    compile threshold and finishes code generation.  Both halves run at
-    the fleet's steady state (kernel build cache warm, as in the
-    snapshot workload's warm lane) with the process decode cache
-    cleared, so the difference is exactly what tier 4 persists:
-    translation, profiling and compilation.  Both runs execute to
-    completion and must produce identical architectural fingerprints.
-    """
-    import tempfile
-    import time
-
-    from repro.isa.decoder import clear_decode_cache
-    from repro.machine.codecache import (
-        CodeCache,
-        CodeRecorder,
-        cache_key,
-        config_signature,
-        image_text_digest,
-    )
-
-    workload = next(w for w in INTERP_WORKLOADS if w.name == "kernel_boot")
-    workload.build_session(quick)  # warm the kernel build cache off-clock
-
-    def fingerprint(result) -> dict:
-        return {
-            "halt_reason": getattr(result.halt_reason, "value", None),
-            "exit_code": result.exit_code,
-            "console": result.console,
-            "instructions": result.instructions,
-            "cycles": result.cycles,
-        }
-
-    class _TimedRecorder(CodeRecorder):
-        """Collector that timestamps the first and last compilation."""
-
-        def __init__(self, started: float):
-            super().__init__()
-            self.started = started
-            self.first: float | None = None
-            self.last: float | None = None
-
-        def record_block(self, hart, block, source):
-            now = time.perf_counter() - self.started
-            if self.first is None:
-                self.first = now
-            self.last = now
-            super().record_block(hart, block, source)
-
-    with tempfile.TemporaryDirectory() as cache_dir:
-        cache = CodeCache(cache_dir, max_sets=4)
-
-        # -- cold: translate + profile + compile, recording as it goes.
-        clear_decode_cache()
-        cold_start = time.perf_counter()
-        session = workload.build_session(quick)
-        hart = session.machine.hart
-        recorder = _TimedRecorder(cold_start)
-        hart.code_collector = recorder
-        cold_result = session.run(workload.max_steps)
-        cold_wall = time.perf_counter() - cold_start
-        signature = config_signature(hart)
-        text_digest = image_text_digest(session.image)
-        key = cache_key(text_digest, signature)
-        cache.save(key, recorder, signature, text_digest)  # off the clock
-
-        # -- warm: identical conditions plus the disk cache.
-        clear_decode_cache()
-        warm_start = time.perf_counter()
-        session = workload.build_session(quick)
-        hart = session.machine.hart
-        loaded = cache.load(
-            key, config_signature(hart), image_text_digest(session.image)
-        )
-        installed = rejected = 0
-        if loaded is not None:
-            installed, rejected = cache.install(hart, loaded)
-        set_ready_warm = (
-            time.perf_counter() - warm_start if installed else None
-        )
-        warm_result = session.run(workload.max_steps)
-        warm_wall = time.perf_counter() - warm_start
-
-        cold_fp = fingerprint(cold_result)
-        warm_fp = fingerprint(warm_result)
-        return {
-            "equivalent": cold_fp == warm_fp,
-            "entries": len(recorder),
-            "instructions": cold_fp["instructions"],
-            "cold": {
-                "wall_seconds": cold_wall,
-                "first_compile_seconds": recorder.first,
-                "compiled_set_seconds": recorder.last,
-                "instructions_per_second": (
-                    cold_result.instructions / cold_wall
-                ),
-            },
-            "warm": {
-                "wall_seconds": warm_wall,
-                "compiled_set_seconds": set_ready_warm,
-                "instructions_per_second": (
-                    warm_result.instructions / warm_wall
-                ),
-                "installed": installed,
-                "rejected": rejected,
-                "hit_rate": (
-                    installed / len(recorder) if len(recorder) else 0.0
-                ),
-            },
-            "warm_vs_cold": (
-                recorder.last / set_ready_warm
-                if recorder.last and set_ready_warm
-                else 0.0
-            ),
-            "cache": cache.stats(),
-        }
-
-
 # -- engine workloads ------------------------------------------------------------
 
 
@@ -508,6 +381,6 @@ ENGINE_WORKLOADS: tuple[EngineWorkload, ...] = (
 #: Every workload name the CLI accepts, in report order.
 WORKLOADS: tuple[str, ...] = (
     tuple(w.name for w in INTERP_WORKLOADS)
-    + ("kernel_boot_warm_start", "attack_replay", "snapshot")
+    + ("attack_replay", "snapshot")
     + tuple(w.name for w in ENGINE_WORKLOADS)
 )

@@ -36,11 +36,6 @@ __all__ = [
     "BLOCK_FLUSH",
     "BLOCK_EVICT",
     "BLOCK_JIT",
-    "CODECACHE_LOAD",
-    "CODECACHE_SAVE",
-    "CODECACHE_INSTALL",
-    "CODECACHE_REJECT",
-    "CODECACHE_EVICT",
     "CRYPTO_OP",
     "CRYPTO_FAULT",
     "KEY_WRITE",
@@ -73,16 +68,6 @@ BLOCK_FLUSH = "block.flush"
 BLOCK_EVICT = "block.evict"
 BLOCK_JIT = "block.jit"
 KEY_WRITE = "key.csr_write"
-
-# -- persistent code cache (repro.machine.codecache) ------------------------
-# ``codecache.load`` carries the wall-clock nanoseconds the on-disk set
-# took to import (the warm-start span); install/reject fire once per
-# cached entry adopted into (or refused by) a hart.
-CODECACHE_LOAD = "codecache.load"
-CODECACHE_SAVE = "codecache.save"
-CODECACHE_INSTALL = "codecache.install"
-CODECACHE_REJECT = "codecache.reject"
-CODECACHE_EVICT = "codecache.evict"
 
 # -- crypto engine / CLB ---------------------------------------------------
 CLB_ENC_HIT = "clb.enc.hit"
@@ -131,11 +116,6 @@ EVENT_SCHEMA: dict[str, tuple[str, ...]] = {
     BLOCK_FLUSH: ("blocks",),
     BLOCK_EVICT: ("pc", "instructions"),
     BLOCK_JIT: ("pc", "instructions", "ns"),
-    CODECACHE_LOAD: ("key", "entries", "ns"),
-    CODECACHE_SAVE: ("key", "entries", "ns"),
-    CODECACHE_INSTALL: ("pc", "privilege"),
-    CODECACHE_REJECT: ("pc", "privilege"),
-    CODECACHE_EVICT: ("key",),
     KEY_WRITE: ("ksel", "half"),
     CLB_ENC_HIT: ("ksel",),
     CLB_ENC_MISS: ("ksel",),

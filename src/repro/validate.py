@@ -35,10 +35,6 @@ def _validators() -> dict:
     from repro.fuzz.campaign import REPORT_SCHEMA
     from repro.fuzz.dist import DIST_REPORT_SCHEMA
     from repro.fuzz.schema import validate_dist_report, validate_report
-    from repro.machine.codecache import SCHEMA as CODECACHE_SCHEMA
-    from repro.machine.codecache import (
-        validate_manifest as validate_codecache_manifest,
-    )
     from repro.perf.runner import SCHEMA as BENCH_SCHEMA
     from repro.perf.schema import validate_bench, validate_history_entry
     from repro.perf.trend import HISTORY_SCHEMA
@@ -69,7 +65,6 @@ def _validators() -> dict:
         BENCH_FLEET_SCHEMA: validate_bench_fleet,
         SPANS_SCHEMA: validate_spans,
         FLIGHTREC_SCHEMA: validate_flightrec,
-        CODECACHE_SCHEMA: validate_codecache_manifest,
         "repro.telemetry/events-1": validate_events,
         "repro.telemetry/chrome-trace-1": validate_chrome_trace,
         "repro.telemetry/profile-1": validate_profile,

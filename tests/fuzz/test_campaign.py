@@ -52,48 +52,6 @@ def test_clean_interpreter_has_zero_divergences():
     assert report["coverage"]["instruction_pairs"] > 50
 
 
-def test_codecache_oracle_round_trips_cleanly():
-    from repro.fuzz.schema import validate_report
-
-    report = run_campaign(
-        FuzzConfig(seed=5, budget=16, codecache=True, emit_dir=None),
-        corpus=_corpus(),
-    )
-    assert report["codecache"] is True
-    stats = report["oracles"]["cached_vs_fresh"]
-    assert stats["cases"] > 0
-    assert stats["divergences"] == 0
-    assert stats["entries"] > 0
-    # Fuzz bodies never self-modify before their first compile, so
-    # every recorded entry byte-validates on the pristine machine.
-    assert stats["installed"] == stats["entries"]
-    assert validate_report(report) == []
-    # Off by default: no marker, no oracle block, same report shape.
-    plain = run_campaign(
-        FuzzConfig(seed=5, budget=16, emit_dir=None), corpus=_corpus()
-    )
-    assert "codecache" not in plain
-    assert "cached_vs_fresh" not in plain["oracles"]
-    assert validate_report(plain) == []
-
-
-def test_codecache_marker_and_block_travel_together():
-    from repro.fuzz.schema import validate_report
-
-    report = run_campaign(
-        FuzzConfig(seed=5, budget=12, codecache=True, emit_dir=None),
-        corpus=_corpus(),
-    )
-    # Marker without the oracle block is malformed...
-    broken = json.loads(json.dumps(report))
-    del broken["oracles"]["cached_vs_fresh"]
-    assert any("cached_vs_fresh" in p for p in validate_report(broken))
-    # ...and so is the block without the marker.
-    broken = json.loads(json.dumps(report))
-    del broken["codecache"]
-    assert any("codecache" in p for p in validate_report(broken))
-
-
 def test_different_seeds_explore_differently():
     a = run_campaign(FuzzConfig(seed=1, budget=20, emit_dir=None))
     b = run_campaign(FuzzConfig(seed=2, budget=20, emit_dir=None))

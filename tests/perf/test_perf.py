@@ -88,44 +88,6 @@ def test_attack_replay_fingerprint_is_deterministic():
     assert first["results"] > 0
 
 
-def test_warm_start_workload_round_trips():
-    from repro.perf.workloads import run_warm_start_workload
-
-    data = run_warm_start_workload(quick=True)
-    assert data["equivalent"] is True
-    assert data["entries"] > 0
-    # Every persisted entry byte-validates against the warm machine.
-    assert data["warm"]["installed"] == data["entries"]
-    assert data["warm"]["rejected"] == 0
-    assert data["warm"]["hit_rate"] == 1.0
-    for half in ("cold", "warm"):
-        assert data[half]["wall_seconds"] > 0
-        assert data[half]["compiled_set_seconds"] > 0
-    # The warm start must reach a live compiled set faster than the
-    # cold compile; the CI gate enforces the real 3x floor.
-    assert data["warm_vs_cold"] > 1.0
-
-
-def test_report_renders_codecache_workload():
-    from repro.perf.report import format_report
-
-    report = {
-        "schema": SCHEMA, "python": "3.12", "quick": True, "repeats": 1,
-        "workloads": {
-            "kernel_boot_warm_start": {
-                "kind": "codecache", "equivalent": True, "entries": 42,
-                "cold": {"compiled_set_seconds": 1.25},
-                "warm": {"compiled_set_seconds": 0.14},
-                "warm_vs_cold": 8.9,
-            },
-        },
-    }
-    text = format_report(report)
-    assert "kernel_boot_warm_start" in text
-    assert "8.90x" in text
-    assert "140ms" in text
-
-
 def test_cli_quick_subset(tmp_path, capsys):
     from repro.perf.__main__ import main
 
@@ -177,33 +139,6 @@ class TestPerfGate:
 
         failures = check_report({"workloads": {}})
         assert any("missing" in f for f in failures)
-
-    def test_warm_start_workload_is_gated_but_not_required(self, report):
-        from repro.perf.gate import GATES, REQUIRED_WORKLOADS, check_report
-
-        assert ("kernel_boot_warm_start", "warm_vs_cold", 3.0) in GATES
-        assert "kernel_boot_warm_start" not in REQUIRED_WORKLOADS
-        # Absent: partial runs (--only kernel_boot) still pass.
-        assert check_report(report) == []
-        # Present and healthy: passes.
-        good = json.loads(json.dumps(report))
-        good["workloads"]["kernel_boot_warm_start"] = {
-            "kind": "codecache",
-            "equivalent": True,
-            "warm_vs_cold": 8.0,
-        }
-        assert check_report(good) == []
-        # Present but below the floor: fails.
-        slow = json.loads(json.dumps(good))
-        slow["workloads"]["kernel_boot_warm_start"]["warm_vs_cold"] = 1.4
-        assert any("warm_vs_cold" in f for f in check_report(slow))
-        # A cached run that diverged fails regardless of its ratio.
-        wrong = json.loads(json.dumps(good))
-        wrong["workloads"]["kernel_boot_warm_start"]["equivalent"] = False
-        assert any(
-            "kernel_boot_warm_start" in f and "equivalent" in f
-            for f in check_report(wrong)
-        )
 
     def test_gate_cli(self, report, tmp_path, capsys):
         from repro.perf.gate import main

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -116,30 +117,6 @@ def test_extract_metrics_pulls_tracked_values():
     assert "fuzz.coverage.instruction_pairs" not in extract_metrics(
         _bench_report()
     )
-
-
-def test_warm_start_metric_extracts_and_tracks():
-    from repro.perf.trend import TRACKED_METRICS
-
-    assert "cache.warm_vs_cold" in TRACKED_METRICS
-    report = _bench_report()
-    report["workloads"]["kernel_boot_warm_start"] = {
-        "kind": "codecache",
-        "equivalent": True,
-        "warm_vs_cold": 9.5,
-        "cold": {"wall_seconds": 2.0},
-        "warm": {"wall_seconds": 0.4},
-    }
-    metrics = extract_metrics(report)
-    assert metrics["cache.warm_vs_cold"] == 9.5
-    # Reports without the workload simply omit the metric.
-    assert "cache.warm_vs_cold" not in extract_metrics(_bench_report())
-    # A history entry carrying it passes the entry validator.
-    entry = make_entry(
-        report, timestamp="2026-08-09T00:00:00Z", label="ci"
-    )
-    assert validate_history_entry(entry) == []
-    assert validate_bench(report) == []
 
 
 def test_entry_passes_its_own_validator():
@@ -507,3 +484,15 @@ def test_validate_history_entry_rejects_untracked_metric():
     assert any(
         "not a tracked metric" in p for p in validate_history_entry(entry)
     )
+
+
+def test_checked_in_history_entries_validate():
+    # The trend window CI gates against must stay loadable: an entry
+    # naming a metric that is no longer tracked fails validation.
+    paths = sorted(
+        (Path(__file__).parents[2] / "BENCH_history").glob("*.json")
+    )
+    assert paths
+    for path in paths:
+        entry = json.loads(path.read_text())
+        assert validate_history_entry(entry) == [], path.name

@@ -7,7 +7,7 @@ from repro.attacks.suite import format_table, run_suite
 from repro.bench.workloads.base import make_user_module
 from repro.compiler.ir import Const
 from repro.kernel import BootCache, KernelConfig, KernelSession
-from repro.kernel.structs import SYS_EXIT
+from repro.kernel.structs import SYS_EXIT, SYS_GETPPID, SYS_SELINUX_CHECK
 
 
 def _exit_module(code: int):
@@ -24,6 +24,24 @@ def _compute_module(iterations: int):
         acc = lb.accumulate()
         lb.loop(iterations,
                 lambda inner, i: inner.add_into(acc, inner.b.xor(i, 0x5A)))
+        lb.exit(lb.b.and_(acc, 0xFF))
+
+    return make_user_module(body)
+
+
+def _syscall_module(iterations: int):
+    """A loop of ``getppid`` then ``selinux_check(2)``: under the full
+    config the kernel paths carry cre/crd and end blocks in CSR and
+    system instructions."""
+
+    def body(lb):
+        acc = lb.accumulate()
+
+        def step(inner, i):
+            inner.add_into(acc, inner.syscall(SYS_GETPPID))
+            inner.add_into(acc, inner.syscall(SYS_SELINUX_CHECK, 2))
+
+        lb.loop(iterations, step)
         lb.exit(lb.b.and_(acc, 0xFF))
 
     return make_user_module(body)
@@ -257,6 +275,19 @@ class TestSharedLayouts:
         cache._trim_tables()
         assert len(cache._layouts) == MAX_LAYOUT_TABLES
 
+    def test_trimmed_shared_code_tables_keep_their_binds(self):
+        from repro.kernel.bootcache import MAX_LAYOUT_TABLES
+        from repro.machine.blockcompile import SharedCodeRegistry
+
+        cache = BootCache(max_templates=2)
+        for i in range(MAX_LAYOUT_TABLES + 3):
+            registry = SharedCodeRegistry()
+            registry.binds = 1
+            cache._shared_code[(f"fake{i}",)] = registry
+        cache._trim_tables()
+        assert len(cache._shared_code) == MAX_LAYOUT_TABLES
+        assert cache.stats()["shared_code_binds"] == MAX_LAYOUT_TABLES + 3
+
 
 class TestSharedCode:
     def test_sibling_fork_binds_compiled_code(self):
@@ -280,9 +311,40 @@ class TestSharedCode:
         assert second.machine.hart.compiled_blocks == 0
         assert state_digest(second.machine) == state_digest(fresh.machine)
 
+    def test_sibling_fork_binds_crypto_and_csr_terminal_blocks(self):
+        # Protected syscall paths compile to blocks that carry crypto
+        # constants (_k<i>/_b<i>) or end in a CSR/system handler
+        # (_hl/_il); a sibling must rebind every one of them.
+        import re
+
+        from repro.machine.compare import state_digest
+
+        config = KernelConfig.full()
+        fresh = KernelSession(config, _syscall_module(40))
+        fresh.run()
+        cache = BootCache()
+        first = KernelSession(config, _syscall_module(40), boot_cache=cache)
+        first.run()
+        registry = first.machine.hart.shared_code
+        published = registry.stats()["published"]
+        assert published > 0
+        second = KernelSession(config, _syscall_module(40),
+                               boot_cache=cache)
+        second.run()
+        assert second.machine.hart.shared_code is registry
+        assert second.machine.hart.compiled_blocks == 0
+        assert registry.binds == published
+        constants = [consts for _, _, consts in registry._entries.values()]
+        assert any("_il" in consts for consts in constants)
+        assert any(
+            re.fullmatch(r"_k\d+", name)
+            for consts in constants for name in consts
+        )
+        assert state_digest(second.machine) == state_digest(fresh.machine)
+
     def test_bind_rejects_different_raw_bytes(self):
         from repro.isa import assemble
-        from repro.machine.codecache import SharedCodeRegistry
+        from repro.machine.blockcompile import SharedCodeRegistry
         from tests.conftest import HALT, machine_with_keys
 
         program = assemble(f"""
