@@ -21,6 +21,8 @@ into ``python -m repro.validate`` so CI checks every uploaded
 
 from __future__ import annotations
 
+from repro.validate import check_count, is_int, is_number
+
 __all__ = [
     "BENCH_FLEET_SCHEMA",
     "JOB_KINDS",
@@ -117,18 +119,6 @@ def deterministic_view(result: dict) -> dict:
 # -- validators -------------------------------------------------------------------
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_count(document, key, problems, where="") -> None:
-    value = document.get(key)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        problems.append(
-            f"{where}{key!r} is not a non-negative integer: {value!r}"
-        )
-
-
 def validate_job(document: dict) -> list[str]:
     """Validate one job envelope."""
     problems: list[str] = []
@@ -141,10 +131,10 @@ def validate_job(document: dict) -> list[str]:
     if document.get("kind") not in JOB_KINDS:
         problems.append(f"unknown kind {document.get('kind')!r}")
     priority = document.get("priority")
-    if not isinstance(priority, int) or isinstance(priority, bool):
+    if not is_int(priority):
         problems.append(f"'priority' is not an integer: {priority!r}")
     deadline = document.get("deadline_s")
-    if deadline is not None and (not _is_number(deadline) or deadline <= 0):
+    if deadline is not None and (not is_number(deadline) or deadline <= 0):
         problems.append(f"'deadline_s' is not a positive number: {deadline!r}")
     if not isinstance(document.get("params"), dict):
         problems.append("'params' is not an object")
@@ -170,7 +160,7 @@ def validate_result(document: dict) -> list[str]:
         problems.append("'payload' missing for an ok result")
     if status == "error" and not isinstance(document.get("error"), str):
         problems.append("'error' missing for an error result")
-    _check_count(document, "attempts", problems)
+    check_count(document, "attempts", problems)
     return problems
 
 
@@ -183,10 +173,10 @@ def validate_bench_fleet(document: dict) -> list[str]:
     problems: list[str] = []
     if document.get("schema") != BENCH_FLEET_SCHEMA:
         problems.append(f"bad schema id {document.get('schema')!r}")
-    _check_count(document, "schema_version", problems)
+    check_count(document, "schema_version", problems)
     for key in ("seed", "jobs", "workers", "batch_size",
                 "crashes_injected"):
-        _check_count(document, key, problems)
+        check_count(document, key, problems)
     digest = document.get("results_digest")
     if not isinstance(digest, str) or len(digest) != 64:
         problems.append(f"'results_digest' is not a sha256 hex: {digest!r}")
@@ -195,10 +185,10 @@ def validate_bench_fleet(document: dict) -> list[str]:
         problems.append("'results' is not an object")
     else:
         for key in _RESULT_COUNTS:
-            _check_count(results, key, problems, where="results.")
+            check_count(results, key, problems, where="results.")
         counts = [results.get(key) for key in _RESULT_COUNTS]
         jobs = document.get("jobs")
-        if all(isinstance(c, int) for c in counts) and isinstance(jobs, int):
+        if all(is_int(c) for c in counts) and is_int(jobs):
             if sum(counts) != jobs:
                 problems.append(
                     f"results counts sum to {sum(counts)}, "
@@ -210,13 +200,13 @@ def validate_bench_fleet(document: dict) -> list[str]:
             problems.append(f"'{key}' is not an object")
             continue
         for name, value in section.items():
-            _check_count({name: value}, name, problems, where=f"{key}.")
+            check_count({name: value}, name, problems, where=f"{key}.")
     timing = document.get("timing")
     if timing is not None:
         if not isinstance(timing, dict):
             problems.append("'timing' is not an object")
         else:
             for key in ("wall_seconds", "jobs_per_second"):
-                if not _is_number(timing.get(key)):
+                if not is_number(timing.get(key)):
                     problems.append(f"timing.{key} is not a number")
     return problems

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.fuzz.campaign import REPORT_SCHEMA
 from repro.fuzz.dist import DIST_REPORT_SCHEMA
+from repro.validate import check_count, is_int
 
 __all__ = ["validate_report", "validate_dist_report"]
 
@@ -24,21 +25,13 @@ _COVERAGE_COUNTS = (
 _SHARD_STATUSES = ("ok", "timeout", "crashed")
 
 
-def _check_int(document, key, problems, where="") -> None:
-    value = document.get(key)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        problems.append(
-            f"{where}{key!r} is not a non-negative integer: {value!r}"
-        )
-
-
 def _check_coverage(coverage, problems, where="coverage",
                     tables=True) -> None:
     if not isinstance(coverage, dict):
         problems.append(f"'{where}' is not an object")
         return
     for key in _COVERAGE_COUNTS:
-        _check_int(coverage, key, problems, where=f"{where}.")
+        check_count(coverage, key, problems, where=f"{where}.")
     if not tables:
         # Per-shard summaries carry the counts only.
         return
@@ -57,7 +50,7 @@ def _check_oracles(oracles, problems) -> None:
             problems.append(f"oracles.{name} missing or not an object")
             continue
         for key in ("cases", "divergences"):
-            _check_int(stats, key, problems, where=f"oracles.{name}.")
+            check_count(stats, key, problems, where=f"oracles.{name}.")
 
 
 def _check_spec(document, problems) -> None:
@@ -81,7 +74,7 @@ def _check_spec(document, problems) -> None:
         return
     for key in ("cases", "divergences", "windows",
                 "transient_instructions"):
-        _check_int(stats, key, problems, where="oracles.spec_convergence.")
+        check_count(stats, key, problems, where="oracles.spec_convergence.")
 
 
 def _check_failures(failures, problems) -> None:
@@ -103,9 +96,9 @@ def validate_report(document: dict) -> list[str]:
     problems: list[str] = []
     if document.get("schema") != REPORT_SCHEMA:
         problems.append(f"bad schema id {document.get('schema')!r}")
-    _check_int(document, "schema_version", problems)
+    check_count(document, "schema_version", problems)
     for key in ("seed", "budget", "divergences"):
-        _check_int(document, key, problems)
+        check_count(document, key, problems)
     _check_oracles(document.get("oracles"), problems)
     _check_spec(document, problems)
     _check_coverage(document.get("coverage"), problems)
@@ -118,10 +111,10 @@ def validate_dist_report(document: dict) -> list[str]:
     problems: list[str] = []
     if document.get("schema") != DIST_REPORT_SCHEMA:
         problems.append(f"bad schema id {document.get('schema')!r}")
-    _check_int(document, "schema_version", problems)
+    check_count(document, "schema_version", problems)
     for key in ("seed", "budget", "shards", "rounds", "divergences",
                 "shards_ok", "shards_failed"):
-        _check_int(document, key, problems)
+        check_count(document, key, problems)
     _check_oracles(document.get("oracles"), problems)
     _check_spec(document, problems)
     _check_coverage(document.get("coverage"), problems)
@@ -134,7 +127,7 @@ def validate_dist_report(document: dict) -> list[str]:
     expected = None
     shards = document.get("shards")
     rounds = document.get("rounds")
-    if isinstance(shards, int) and isinstance(rounds, int):
+    if is_int(shards) and is_int(rounds):
         expected = shards * rounds
         if len(shard_reports) != expected:
             problems.append(
@@ -147,7 +140,7 @@ def validate_dist_report(document: dict) -> list[str]:
             problems.append(f"{where}: not an object")
             continue
         for key in ("round", "shard_id", "shard_seed", "budget"):
-            _check_int(row, key, problems, where=f"{where}.")
+            check_count(row, key, problems, where=f"{where}.")
         status = row.get("status")
         if status not in _SHARD_STATUSES:
             problems.append(f"{where}: unknown status {status!r}")

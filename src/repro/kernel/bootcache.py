@@ -33,7 +33,7 @@ from collections import OrderedDict
 from repro.crypto.engine import CryptoEngine
 from repro.crypto.keys import KeySelect
 from repro.kernel import layout as kmap
-from repro.machine.blockcompile import SharedCodeRegistry
+from repro.machine.blockcache import LayoutTable
 from repro.machine.machine import Machine
 from repro.snapshot import fork
 
@@ -61,7 +61,7 @@ def program_digest(program) -> str:
 #: limit.
 DEFAULT_MAX_TEMPLATES = 8
 
-#: Layout/shared-code tables retained beyond the template bound.
+#: Layout tables retained beyond the template bound.
 #: Deliberately larger than ``DEFAULT_MAX_TEMPLATES``: a table must
 #: outlive its template, because live forks keep publishing into it
 #: after an eviction and a re-booted template's new forks must rejoin
@@ -87,23 +87,14 @@ class BootCache:
         self.max_templates = max_templates
         self._templates: OrderedDict[tuple, Machine] = OrderedDict()
         #: Per-template shared block layouts: every fork of a template
-        #: contributes its translations and adopts its siblings'
-        #: (validated byte-for-byte at adoption), so the hot kernel
-        #: paths are predecoded once per template, not once per fork.
-        #: Bounded by ``MAX_LAYOUT_TABLES``, *not* tied to template
-        #: eviction (see :meth:`_trim_tables`).
-        self._layouts: OrderedDict[tuple, dict] = OrderedDict()
-        #: Per-template shared compiled code: the first fork to compile
-        #: a block publishes its code object and every sibling rebinds
-        #: it after the same byte-for-byte validation, so forks skip
-        #: compilation exactly as shared layouts let them skip
-        #: translation.
-        self._shared_code: OrderedDict[tuple, SharedCodeRegistry] = (
-            OrderedDict()
-        )
-        #: Binds made through shared-code registries that
-        #: :meth:`_trim_tables` has since dropped, so
-        #: ``shared_code_binds`` keeps counting them.
+        #: contributes its translations and compiled code and adopts its
+        #: siblings' (validated byte-for-byte at adoption), so the hot
+        #: kernel paths are predecoded and compiled once per template,
+        #: not once per fork.  Bounded by ``MAX_LAYOUT_TABLES``, *not*
+        #: tied to template eviction (see :meth:`_trim_tables`).
+        self._layouts: OrderedDict[tuple, LayoutTable] = OrderedDict()
+        #: Code binds made through tables that :meth:`_trim_tables` has
+        #: since dropped, so ``shared_code_binds`` keeps counting them.
         self._trimmed_binds = 0
         #: Template boots performed (the expensive operation saved).
         self.boots = 0
@@ -127,9 +118,8 @@ class BootCache:
             "fallbacks": self.fallbacks,
             "evictions": self.evictions,
             "layout_tables": len(self._layouts),
-            "shared_code_tables": len(self._shared_code),
             "shared_code_binds": self._trimmed_binds + sum(
-                registry.binds for registry in self._shared_code.values()
+                table.binds for table in self._layouts.values()
             ),
         }
 
@@ -169,23 +159,20 @@ class BootCache:
                 self.max_templates is not None
                 and len(self._templates) > self.max_templates
             ):
-                # Evicting a template must NOT drop its layout or
-                # shared-code tables: live forks still publish into
-                # them, and a re-boot of the same key has to rejoin the
-                # table those siblings hold.  Tables have their own
-                # (larger) bound; see _trim_tables.
+                # Evicting a template must NOT drop its layout table:
+                # live forks still publish into it, and a re-boot of the
+                # same key has to rejoin the table those siblings hold.
+                # Tables have their own (larger) bound; see _trim_tables.
                 self._templates.popitem(last=False)
                 self.evictions += 1
                 self._trim_tables()
         else:
             self._templates.move_to_end(key)
         child = fork(template)
-        child.hart.shared_layouts = self._layouts.setdefault(key, {})
-        self._layouts.move_to_end(key)
-        child.hart.shared_code = self._shared_code.setdefault(
-            key, SharedCodeRegistry()
+        child.hart.shared_layouts = self._layouts.setdefault(
+            key, LayoutTable()
         )
-        self._shared_code.move_to_end(key)
+        self._layouts.move_to_end(key)
         for section in user.sections.values():
             if section.data:
                 child.memory.write_bytes(section.base, bytes(section.data))
@@ -198,18 +185,16 @@ class BootCache:
     # -- internals ---------------------------------------------------------------
 
     def _trim_tables(self) -> None:
-        """Bound the layout/shared-code tables, preferring to drop
-        tables whose template is gone (a live template's table is only
-        sacrificed when evicted keys alone cannot satisfy the bound)."""
-        for tables in (self._layouts, self._shared_code):
-            while len(tables) > MAX_LAYOUT_TABLES:
-                victim = next(
-                    (k for k in tables if k not in self._templates),
-                    next(iter(tables)),
-                )
-                if tables is self._shared_code:
-                    self._trimmed_binds += tables[victim].binds
-                del tables[victim]
+        """Bound the layout tables, preferring to drop tables whose
+        template is gone (a live template's table is only sacrificed
+        when evicted keys alone cannot satisfy the bound)."""
+        tables = self._layouts
+        while len(tables) > MAX_LAYOUT_TABLES:
+            victim = next(
+                (k for k in tables if k not in self._templates),
+                next(iter(tables)),
+            )
+            self._trimmed_binds += tables.pop(victim).binds
 
     @staticmethod
     def _coverable(user_program) -> bool:

@@ -59,6 +59,7 @@ class TranslatedBlock:
     __slots__ = (
         "entry_pc", "ops", "body", "last", "cycle_bound", "pages",
         "privilege", "exec_count", "compiled", "compile_failed", "links",
+        "layout",
     )
 
     def __init__(
@@ -68,6 +69,7 @@ class TranslatedBlock:
         cycle_bound: int,
         pages: frozenset[int],
         privilege: int = 3,
+        layout: BlockLayout | None = None,
     ):
         self.entry_pc = entry_pc
         #: ``(handler, instruction)`` pairs, in program order.
@@ -95,6 +97,10 @@ class TranslatedBlock:
         self.compile_failed = False
         #: Direct chain links: ``next_pc -> (epoch, TranslatedBlock)``.
         self.links: dict = {}
+        #: The shared :class:`BlockLayout` this block was translated
+        #: into or adopted from (None outside a fork's shared table);
+        #: compiling the block publishes its code there.
+        self.layout = layout
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -113,12 +119,19 @@ class BlockLayout:
     user program at the same address, self-modified code) is rejected
     by comparison instead of by an invalidation protocol.
 
+    The first fork to compile a block from the layout leaves the code
+    object and its decode-derived globals (the ``_k<i>``/``_b<i>``
+    crypto constants and the ``_il`` terminal instruction) in ``code``
+    and ``consts``; the byte compare that admits the layout admits that
+    code too, so an adopting sibling rebinds it instead of compiling.
+
     Sharing is scoped by the boot cache to forks of one template, which
     all carry the same cost model and crypto engine — the cycle bound
-    transfers unchanged.
+    and the cycle literals folded into the code transfer unchanged.
     """
 
-    __slots__ = ("raw", "instructions", "cycle_bound", "pages")
+    __slots__ = ("raw", "instructions", "cycle_bound", "pages", "code",
+                 "consts")
 
     def __init__(self, raw: bytes, instructions: tuple, cycle_bound: int,
                  pages: frozenset[int]):
@@ -126,9 +139,22 @@ class BlockLayout:
         self.instructions = instructions
         self.cycle_bound = cycle_bound
         self.pages = pages
+        self.code = None
+        self.consts: dict | None = None
 
 
-#: Entries one shared-layout dict may hold (bounded by code footprint
+class LayoutTable(dict):
+    """``(pc, privilege) -> BlockLayout`` shared by the forks of one
+    template, counting the compiled functions those forks rebound."""
+
+    __slots__ = ("binds",)
+
+    def __init__(self):
+        super().__init__()
+        self.binds = 0
+
+
+#: Entries one shared-layout table may hold (bounded by code footprint
 #: in practice; the cap only guards degenerate self-modifying guests).
 MAX_SHARED_LAYOUTS = 8192
 

@@ -54,7 +54,7 @@ from repro.machine.trap import Cause, Trap
 from repro.telemetry.events import BLOCK_JIT
 from repro.utils.bits import MASK64, to_signed64
 
-__all__ = ["SharedCodeRegistry", "compile_block"]
+__all__ = ["bind_code", "compile_block"]
 
 _H = 1 << 63
 
@@ -348,14 +348,14 @@ class _Codegen:
         self.emit(f"hart.pc = {target}", indent)
         self.emit(f"return {count}", indent)
 
-    def last_handler(self, handler, ins, pc: int, count: int) -> None:
-        """CSR/system final op: sync everything, call the real handler."""
+    def last_handler(self, ins, pc: int, count: int) -> None:
+        """CSR/system final op: sync everything, call the real handler
+        (``_hl``, bound per hart by :func:`_build_env`)."""
         self.flush_cycles()
         self.writeback(1)
         self.emit(f"hart.pc = {pc}")
         if count > 1:
             self.emit(f"hart.instret += {count - 1}")
-        self.env["_hl"] = handler
         self.env["_il"] = ins
         self.emit("try:")
         self.emit(f"_n = _hl(_il, {pc})", 2)
@@ -374,7 +374,7 @@ class _Codegen:
         cost = hart.cost
         ops = block.ops
         count = len(ops)
-        for index, (handler, ins) in enumerate(ops):
+        for index, (_, ins) in enumerate(ops):
             mnemonic = ins.mnemonic
             pc = block.entry_pc + 4 * index
             is_last = index == count - 1
@@ -385,7 +385,7 @@ class _Codegen:
             elif mnemonic == "jalr":
                 self.last_jalr(ins, pc, count)
             elif mnemonic in _HANDLER_FALLBACK:
-                self.last_handler(handler, ins, pc, count)
+                self.last_handler(ins, pc, count)
             elif mnemonic in _ALU_RR:
                 self.op_alu_rr(ins, cost.cost(mnemonic))
             elif mnemonic in _ALU_IMM:
@@ -413,7 +413,7 @@ class _Codegen:
         return "\n".join(header + self.lines) + "\n"
 
 
-def _build_env(hart) -> dict:
+def _build_env(hart, block) -> dict:
     bus = hart.bus
     return {
         "M": MASK64,
@@ -443,6 +443,7 @@ def _build_env(hart) -> dict:
         "_enc": hart.engine.encrypt,
         "_dec": hart.engine.decrypt,
         "_engine": hart.engine,
+        "_hl": block.last[0],
         "_MF": MemoryFault,
         "_PE": PrivilegeError,
         "_IV": IntegrityViolation,
@@ -456,86 +457,26 @@ def _build_env(hart) -> dict:
     }
 
 
-def _read_raw(hart, pc: int, num_instructions: int) -> bytes | None:
-    mem = hart._code_mem
-    try:
-        return bytes(mem.read_bytes(pc, 4 * num_instructions))
-    except (MemoryFault, AttributeError):
-        return None
+def bind_code(hart, block, layout):
+    """Rebind the code ``layout`` carries to ``hart``.
 
-
-class SharedCodeRegistry:
-    """In-process compiled-code sharing across forks of one template.
-
-    The boot cache installs one registry per template, next to the
-    shared layout table.  The first fork to compile a block publishes
-    its raw bytes, its code object and the block's decode-derived
-    globals: the ``_k<i>``/``_b<i>`` crypto constants and the ``_il``
-    terminal instruction.  A sibling that adopts the matching layout
-    rebinds the code object to its own :func:`_build_env` plus those
-    globals, with ``_hl`` looked up in its own dispatch table, so a
-    fork skips compilation exactly as it already skips translation.
-    Code objects are immutable and the globals are decode-derived, so
-    sharing needs no locking and no invalidation beyond the byte
+    The globals are this hart's :func:`_build_env` plus the layout's
+    decode-derived constants.  Code objects are immutable and the
+    constants depend only on the bytes the layout was admitted by, so
+    sharing needs no locking and no invalidation beyond that byte
     compare.
     """
-
-    def __init__(self, capacity: int = 4096):
-        self.capacity = capacity
-        self._entries: dict[tuple[int, int], tuple] = {}
-        self.published = 0
-        self.binds = 0
-        self.rejected = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def publish(self, hart, block, fn, env: dict) -> None:
-        key = (block.entry_pc, int(block.privilege))
-        if key in self._entries or len(self._entries) >= self.capacity:
-            return
-        raw = _read_raw(hart, block.entry_pc, len(block.ops))
-        if raw is None:
-            return
-        consts = {
-            name: value for name, value in env.items() if name != "_hl"
-        }
-        self._entries[key] = (raw, fn.__code__, consts)
-        self.published += 1
-
-    def bind(self, hart, key: tuple[int, int], raw: bytes):
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        stored_raw, code, consts = entry
-        if stored_raw != raw:
-            self.rejected += 1
-            return None
-        env = _build_env(hart)
-        env.update(consts)
-        last_ins = consts.get("_il")
-        if last_ins is not None:
-            handler = hart._dispatch.get(last_ins.mnemonic)
-            if handler is None:
-                self.rejected += 1
-                return None
-            env["_hl"] = handler
-        self.binds += 1
-        return FunctionType(code, env, code.co_name)
-
-    def stats(self) -> dict:
-        return {
-            "entries": len(self._entries),
-            "published": self.published,
-            "binds": self.binds,
-            "rejected": self.rejected,
-        }
+    env = _build_env(hart, block)
+    env.update(layout.consts)
+    code = layout.code
+    return FunctionType(code, env, code.co_name)
 
 
 def compile_block(hart, block):
     """Compile ``block`` for ``hart``; returns the function or None.
 
-    On success the function is stored in ``block.compiled``; on refusal
+    On success the function is stored in ``block.compiled`` and, if no
+    sibling got there first, its code on ``block.layout``; on refusal
     ``block.compile_failed`` is set so the block stays on the
     interpreting tier without re-attempting every execution.
     """
@@ -547,7 +488,7 @@ def compile_block(hart, block):
     except _Unsupported:
         block.compile_failed = True
         return None
-    env = _build_env(hart)
+    env = _build_env(hart, block)
     env.update(generator.env)
     namespace: dict = {}
     exec(  # noqa: S102 - source is synthesized above, not external input
@@ -558,9 +499,10 @@ def compile_block(hart, block):
     fn = namespace["_block"]
     block.compiled = fn
     hart.compiled_blocks += 1
-    shared = hart.shared_code
-    if shared is not None:
-        shared.publish(hart, block, fn, generator.env)
+    layout = block.layout
+    if layout is not None and layout.code is None:
+        layout.code = fn.__code__
+        layout.consts = generator.env
     if trace is not None:
         trace(
             BLOCK_JIT,

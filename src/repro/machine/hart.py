@@ -29,7 +29,7 @@ from repro.machine.blockcache import (
     BlockLayout,
     TranslatedBlock,
 )
-from repro.machine.blockcompile import compile_block
+from repro.machine.blockcompile import bind_code, compile_block
 from repro.machine.csr import (
     CSRFile,
     MIE_MTIE,
@@ -107,12 +107,13 @@ class Hart:
         self.spec = None
         # -- fast path: basic-block translation cache ----------------------
         self.blocks = BlockCache()
-        #: ``(pc, privilege) -> BlockLayout`` dict shared across forks
-        #: of one warm template (installed by the boot cache, None
-        #: otherwise).  Layouts are validated byte-for-byte against
-        #: live memory before adoption, so the dict needs no
-        #: invalidation and tolerates siblings with divergent memory.
-        self.shared_layouts: dict | None = None
+        #: :class:`repro.machine.blockcache.LayoutTable` shared across
+        #: forks of one warm template (installed by the boot cache, None
+        #: otherwise).  Layouts, and the compiled code they carry, are
+        #: validated byte-for-byte against live memory before adoption,
+        #: so the table needs no invalidation and tolerates siblings
+        #: with divergent memory.
+        self.shared_layouts = None
         #: Translations answered from ``shared_layouts``.
         self.layout_hits = 0
         # -- compiled tier: specialized functions + direct chaining --------
@@ -130,10 +131,6 @@ class Hart:
         #: Set mid-block by device stores and code-page writes; forces a
         #: return to the machine loop before the next predecoded op.
         self._block_break = False
-        #: :class:`repro.machine.blockcompile.SharedCodeRegistry` shared
-        #: across forks of one template (installed by the boot cache),
-        #: or None.  Published on compile, bound on layout adoption.
-        self.shared_code = None
         # Translation fetches bypass the device bus (code never lives in
         # MMIO, and device reads can have side effects); execution-time
         # loads and stores still go through ``self.bus`` unchanged.
@@ -315,7 +312,8 @@ class Hart:
         the comparison makes sharing unconditionally safe: a sibling
         fork's layout for code this machine has since overwritten (or
         never had) simply fails to match and translation proceeds
-        normally.
+        normally.  The same compare admits the code a sibling compiled
+        from the layout, so the fork skips compilation as well.
         """
         shared = self.shared_layouts
         if shared is None:
@@ -334,21 +332,16 @@ class Hart:
             (dispatch[ins.mnemonic], ins) for ins in layout.instructions
         )
         block = TranslatedBlock(
-            pc, ops, layout.cycle_bound, layout.pages, int(key[1])
+            pc, ops, layout.cycle_bound, layout.pages, int(key[1]), layout
         )
         self.blocks.insert(key, block)
         if hasattr(mem, "watch_code_page"):
             for page in layout.pages:
                 mem.watch_code_page(page)
         self.layout_hits += 1
-        shared_code = self.shared_code
-        if shared_code is not None:
-            # The raw bytes were just validated against live memory, so
-            # a sibling's compiled function can be rebound directly —
-            # the fork skips compilation as well as translation.
-            fn = shared_code.bind(self, key, layout.raw)
-            if fn is not None:
-                block.compiled = fn
+        if layout.code is not None:
+            block.compiled = bind_code(self, block, layout)
+            shared.binds += 1
         return block
 
     def _translate(self, pc: int, key: tuple[int, int]) -> TranslatedBlock | None:
@@ -411,7 +404,7 @@ class Hart:
             except (MemoryFault, AttributeError):
                 raw = None
             if raw is not None:
-                shared[key] = BlockLayout(
+                block.layout = shared[key] = BlockLayout(
                     raw, tuple(ins for _, ins in ops), bound, pages
                 )
         if trace is not None:
@@ -627,102 +620,20 @@ class Hart:
         if self.spec is not None:
             self.spec.detach()
 
-    def attach_coverage(self, on_instruction, on_trap=None) -> None:
-        """Observation callbacks for correctness tooling (thin shim).
-
-        Builds a private trace bus and delegates to
-        :meth:`attach_tracer` so there is exactly one hook mechanism.
-        ``on_instruction(ins)`` fires before every retired instruction;
-        ``on_trap(trap, pc)`` fires on every trap entry (synchronous or
-        interrupt).  New code should subscribe to a
-        :class:`repro.telemetry.TraceBus` directly.
-        """
-        from repro.telemetry.bus import TraceBus
-
-        bus = TraceBus()
-        bus.subscribe(INSN_RETIRE, lambda ins, pc: on_instruction(ins))
-        if on_trap is not None:
-            def forward(event):
-                data = event.data
-                on_trap(
-                    Trap(
-                        Cause(data["cause"]),
-                        tval=data["tval"],
-                        interrupt=data["interrupt"],
-                    ),
-                    data["pc"],
-                )
-
-            bus.subscribe(TRAP_ENTER, forward)
-        self.attach_tracer(bus)
-
     # ---------------------------------------------------------------- dispatch --
 
     def _build_dispatch(self):
         d = {}
 
-        # ALU register-register.
-        d["add"] = self._alu("add", lambda a, b: a + b)
-        d["sub"] = self._alu("sub", lambda a, b: a - b)
-        d["sll"] = self._alu("sll", lambda a, b: a << (b & 63))
-        d["slt"] = self._alu(
-            "slt", lambda a, b: int(to_signed64(a) < to_signed64(b))
-        )
-        d["sltu"] = self._alu("sltu", lambda a, b: int(a < b))
-        d["xor"] = self._alu("xor", lambda a, b: a ^ b)
-        d["srl"] = self._alu("srl", lambda a, b: a >> (b & 63))
-        d["sra"] = self._alu("sra", lambda a, b: to_signed64(a) >> (b & 63))
-        d["or"] = self._alu("or", lambda a, b: a | b)
-        d["and"] = self._alu("and", lambda a, b: a & b)
-        d["mul"] = self._alu("mul", lambda a, b: a * b)
-        d["mulh"] = self._alu(
-            "mulh", lambda a, b: (to_signed64(a) * to_signed64(b)) >> 64
-        )
-        d["mulhsu"] = self._alu("mulhsu", lambda a, b: (to_signed64(a) * b) >> 64)
-        d["mulhu"] = self._alu("mulhu", lambda a, b: (a * b) >> 64)
-        d["div"] = self._alu("div", self._div)
-        d["divu"] = self._alu("divu", self._divu)
-        d["rem"] = self._alu("rem", self._rem)
-        d["remu"] = self._alu("remu", self._remu)
-
-        # 32-bit ("W") register-register.
-        d["addw"] = self._alu_w("addw", lambda a, b: a + b)
-        d["subw"] = self._alu_w("subw", lambda a, b: a - b)
-        d["sllw"] = self._alu_w("sllw", lambda a, b: a << (b & 31))
-        d["srlw"] = self._alu_w(
-            "srlw", lambda a, b: (a & 0xFFFFFFFF) >> (b & 31)
-        )
-        d["sraw"] = self._alu_w(
-            "sraw", lambda a, b: sign_extend(a & 0xFFFFFFFF, 32) >> (b & 31)
-        )
-        d["mulw"] = self._alu_w("mulw", lambda a, b: a * b)
-        d["divw"] = self._alu_w("divw", self._div32)
-        d["divuw"] = self._alu_w("divuw", self._divu32)
-        d["remw"] = self._alu_w("remw", self._rem32)
-        d["remuw"] = self._alu_w("remuw", self._remu32)
-
-        # ALU immediates.
-        d["addi"] = self._alu_imm("addi", lambda a, i: a + i)
-        d["slti"] = self._alu_imm(
-            "slti", lambda a, i: int(to_signed64(a) < i)
-        )
-        d["sltiu"] = self._alu_imm(
-            "sltiu", lambda a, i: int(a < to_unsigned64(i))
-        )
-        d["xori"] = self._alu_imm("xori", lambda a, i: a ^ to_unsigned64(i))
-        d["ori"] = self._alu_imm("ori", lambda a, i: a | to_unsigned64(i))
-        d["andi"] = self._alu_imm("andi", lambda a, i: a & to_unsigned64(i))
-        d["slli"] = self._alu_imm("slli", lambda a, i: a << i)
-        d["srli"] = self._alu_imm("srli", lambda a, i: a >> i)
-        d["srai"] = self._alu_imm("srai", lambda a, i: to_signed64(a) >> i)
-        d["addiw"] = self._alu_imm_w("addiw", lambda a, i: a + i)
-        d["slliw"] = self._alu_imm_w("slliw", lambda a, i: a << i)
-        d["srliw"] = self._alu_imm_w(
-            "srliw", lambda a, i: (a & 0xFFFFFFFF) >> i
-        )
-        d["sraiw"] = self._alu_imm_w(
-            "sraiw", lambda a, i: sign_extend(a & 0xFFFFFFFF, 32) >> i
-        )
+        # ALU: register-register and immediate, 64- and 32-bit ("W").
+        for table, factory in (
+            (ALU_RR, self._alu),
+            (ALU_RR_W, self._alu_w),
+            (ALU_RI, self._alu_imm),
+            (ALU_RI_W, self._alu_imm_w),
+        ):
+            for mnemonic, op in table.items():
+                d[mnemonic] = factory(mnemonic, op)
 
         # Memory.
         for mnemonic in tab.LOADS:
@@ -731,16 +642,8 @@ class Hart:
             d[mnemonic] = self._make_store(mnemonic)
 
         # Control flow.
-        d["beq"] = self._branch("beq", lambda a, b: a == b)
-        d["bne"] = self._branch("bne", lambda a, b: a != b)
-        d["blt"] = self._branch(
-            "blt", lambda a, b: to_signed64(a) < to_signed64(b)
-        )
-        d["bge"] = self._branch(
-            "bge", lambda a, b: to_signed64(a) >= to_signed64(b)
-        )
-        d["bltu"] = self._branch("bltu", lambda a, b: a < b)
-        d["bgeu"] = self._branch("bgeu", lambda a, b: a >= b)
+        for mnemonic, condition in BRANCH_CONDS.items():
+            d[mnemonic] = self._branch(mnemonic, condition)
         d["jal"] = self._jal
         d["jalr"] = self._jalr
         d["lui"] = self._lui
@@ -1031,3 +934,76 @@ class Hart:
             return None
 
         return handler
+
+
+# -- pure instruction semantics -------------------------------------------------
+#
+# The one interpreter copy of ALU and branch semantics: the hart's
+# handlers wrap these, and the speculative engine's transient windows
+# call them on shadow state.  Results are unmasked Python ints — callers
+# mask to 64 bits, or sign-extend bit 31 for the ``_W`` tables.  They
+# follow the class because the division entries are its static methods.
+# The compiled tier keeps its own source templates, the independent
+# implementation the differential fuzzer checks these against.
+
+ALU_RR = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "sll": lambda a, b: a << (b & 63),
+    "slt": lambda a, b: int(to_signed64(a) < to_signed64(b)),
+    "sltu": lambda a, b: int(a < b),
+    "xor": lambda a, b: a ^ b,
+    "srl": lambda a, b: a >> (b & 63),
+    "sra": lambda a, b: to_signed64(a) >> (b & 63),
+    "or": lambda a, b: a | b,
+    "and": lambda a, b: a & b,
+    "mul": lambda a, b: a * b,
+    "mulh": lambda a, b: (to_signed64(a) * to_signed64(b)) >> 64,
+    "mulhsu": lambda a, b: (to_signed64(a) * b) >> 64,
+    "mulhu": lambda a, b: (a * b) >> 64,
+    "div": Hart._div,
+    "divu": Hart._divu,
+    "rem": Hart._rem,
+    "remu": Hart._remu,
+}
+
+ALU_RR_W = {
+    "addw": lambda a, b: a + b,
+    "subw": lambda a, b: a - b,
+    "sllw": lambda a, b: a << (b & 31),
+    "srlw": lambda a, b: (a & 0xFFFFFFFF) >> (b & 31),
+    "sraw": lambda a, b: sign_extend(a & 0xFFFFFFFF, 32) >> (b & 31),
+    "mulw": lambda a, b: a * b,
+    "divw": Hart._div32,
+    "divuw": Hart._divu32,
+    "remw": Hart._rem32,
+    "remuw": Hart._remu32,
+}
+
+ALU_RI = {
+    "addi": lambda a, i: a + i,
+    "slti": lambda a, i: int(to_signed64(a) < i),
+    "sltiu": lambda a, i: int(a < to_unsigned64(i)),
+    "xori": lambda a, i: a ^ to_unsigned64(i),
+    "ori": lambda a, i: a | to_unsigned64(i),
+    "andi": lambda a, i: a & to_unsigned64(i),
+    "slli": lambda a, i: a << i,
+    "srli": lambda a, i: a >> i,
+    "srai": lambda a, i: to_signed64(a) >> i,
+}
+
+ALU_RI_W = {
+    "addiw": lambda a, i: a + i,
+    "slliw": lambda a, i: a << i,
+    "srliw": lambda a, i: (a & 0xFFFFFFFF) >> i,
+    "sraiw": lambda a, i: sign_extend(a & 0xFFFFFFFF, 32) >> i,
+}
+
+BRANCH_CONDS = {
+    "beq": lambda a, b: a == b,
+    "bne": lambda a, b: a != b,
+    "blt": lambda a, b: to_signed64(a) < to_signed64(b),
+    "bge": lambda a, b: to_signed64(a) >= to_signed64(b),
+    "bltu": lambda a, b: a < b,
+    "bgeu": lambda a, b: a >= b,
+}

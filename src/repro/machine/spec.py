@@ -47,7 +47,14 @@ from repro.errors import DecodeError, MemoryFault
 from repro.isa import csrdefs
 from repro.isa import instructions as tab
 from repro.isa.decoder import decode_cached
-from repro.machine.hart import Hart
+from repro.machine.hart import (
+    ALU_RI,
+    ALU_RI_W,
+    ALU_RR,
+    ALU_RR_W,
+    BRANCH_CONDS,
+    Hart,
+)
 from repro.machine.trap import Trap
 from repro.telemetry.events import (
     SPEC_BRANCH,
@@ -58,7 +65,7 @@ from repro.telemetry.events import (
     SPEC_STORE,
     SPEC_WINDOW,
 )
-from repro.utils.bits import MASK64, sign_extend, to_signed64, to_unsigned64
+from repro.utils.bits import MASK64, sign_extend, to_unsigned64
 
 __all__ = ["SpecConfig", "SpecStats", "BranchPredictor", "SpeculativeEngine"]
 
@@ -260,70 +267,6 @@ class _Shadow:
                 taint.discard(byte_address)
 
 
-# -- pure instruction semantics (mirror the hart's handler lambdas) ---------
-
-_ALU_RR = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "sll": lambda a, b: a << (b & 63),
-    "slt": lambda a, b: int(to_signed64(a) < to_signed64(b)),
-    "sltu": lambda a, b: int(a < b),
-    "xor": lambda a, b: a ^ b,
-    "srl": lambda a, b: a >> (b & 63),
-    "sra": lambda a, b: to_signed64(a) >> (b & 63),
-    "or": lambda a, b: a | b,
-    "and": lambda a, b: a & b,
-    "mul": lambda a, b: a * b,
-    "mulh": lambda a, b: (to_signed64(a) * to_signed64(b)) >> 64,
-    "mulhsu": lambda a, b: (to_signed64(a) * b) >> 64,
-    "mulhu": lambda a, b: (a * b) >> 64,
-    "div": Hart._div,
-    "divu": Hart._divu,
-    "rem": Hart._rem,
-    "remu": Hart._remu,
-}
-
-_ALU_RR_W = {
-    "addw": lambda a, b: a + b,
-    "subw": lambda a, b: a - b,
-    "sllw": lambda a, b: a << (b & 31),
-    "srlw": lambda a, b: (a & 0xFFFFFFFF) >> (b & 31),
-    "sraw": lambda a, b: sign_extend(a & 0xFFFFFFFF, 32) >> (b & 31),
-    "mulw": lambda a, b: a * b,
-    "divw": Hart._div32,
-    "divuw": Hart._divu32,
-    "remw": Hart._rem32,
-    "remuw": Hart._remu32,
-}
-
-_ALU_RI = {
-    "addi": lambda a, i: a + i,
-    "slti": lambda a, i: int(to_signed64(a) < i),
-    "sltiu": lambda a, i: int(a < to_unsigned64(i)),
-    "xori": lambda a, i: a ^ to_unsigned64(i),
-    "ori": lambda a, i: a | to_unsigned64(i),
-    "andi": lambda a, i: a & to_unsigned64(i),
-    "slli": lambda a, i: a << i,
-    "srli": lambda a, i: a >> i,
-    "srai": lambda a, i: to_signed64(a) >> i,
-}
-
-_ALU_RI_W = {
-    "addiw": lambda a, i: a + i,
-    "slliw": lambda a, i: a << i,
-    "srliw": lambda a, i: (a & 0xFFFFFFFF) >> i,
-    "sraiw": lambda a, i: sign_extend(a & 0xFFFFFFFF, 32) >> i,
-}
-
-_BRANCH_CONDS = {
-    "beq": lambda a, b: a == b,
-    "bne": lambda a, b: a != b,
-    "blt": lambda a, b: to_signed64(a) < to_signed64(b),
-    "bge": lambda a, b: to_signed64(a) >= to_signed64(b),
-    "bltu": lambda a, b: a < b,
-    "bgeu": lambda a, b: a >= b,
-}
-
 #: Instructions that end a transient window without executing: they can
 #: move privilege, pending interrupts or the idle flag, none of which
 #: have shadow equivalents worth modeling.
@@ -359,7 +302,7 @@ class SpeculativeEngine:
         hart._tracer_stack.append(frame)
         self._frame = frame
         dispatch = dict(hart._dispatch)
-        for mnemonic in _BRANCH_CONDS:
+        for mnemonic in BRANCH_CONDS:
             dispatch[mnemonic] = self._wrap(
                 dispatch[mnemonic], self.on_branch
             )
@@ -513,24 +456,24 @@ class SpeculativeEngine:
         """One transient instruction; returns ``(next_pc, stop_cause)``."""
         mnemonic = ins.mnemonic
 
-        op = _ALU_RI.get(mnemonic)
+        op = ALU_RI.get(mnemonic)
         if op is not None:
             a, ta = shadow.read_reg(ins.rs1)
             shadow.write_reg(ins.rd, op(a, ins.imm) & MASK64, ta)
             return None, None
-        op = _ALU_RR.get(mnemonic)
+        op = ALU_RR.get(mnemonic)
         if op is not None:
             a, ta = shadow.read_reg(ins.rs1)
             b, tb = shadow.read_reg(ins.rs2)
             shadow.write_reg(ins.rd, op(a, b) & MASK64, ta or tb)
             return None, None
-        op = _ALU_RI_W.get(mnemonic)
+        op = ALU_RI_W.get(mnemonic)
         if op is not None:
             a, ta = shadow.read_reg(ins.rs1)
             result = to_unsigned64(sign_extend(op(a, ins.imm) & MASK64, 32))
             shadow.write_reg(ins.rd, result, ta)
             return None, None
-        op = _ALU_RR_W.get(mnemonic)
+        op = ALU_RR_W.get(mnemonic)
         if op is not None:
             a, ta = shadow.read_reg(ins.rs1)
             b, tb = shadow.read_reg(ins.rs2)
@@ -562,7 +505,7 @@ class SpeculativeEngine:
             shadow.store(address, tab.ACCESS_SIZE[mnemonic], value, tv)
             return None, None
 
-        cond = _BRANCH_CONDS.get(mnemonic)
+        cond = BRANCH_CONDS.get(mnemonic)
         if cond is not None:
             a, ta = shadow.read_reg(ins.rs1)
             b, tb = shadow.read_reg(ins.rs2)

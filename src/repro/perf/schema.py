@@ -11,14 +11,11 @@ from __future__ import annotations
 
 from repro.perf.runner import SCHEMA as BENCH_SCHEMA
 from repro.perf.trend import HISTORY_SCHEMA, TRACKED_METRICS
+from repro.validate import is_int, is_number
 
 __all__ = ["validate_bench", "validate_history_entry"]
 
 _KNOWN_KINDS = ("interpreter", "snapshot", "engine")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def validate_bench(document: dict) -> list[str]:
@@ -26,7 +23,7 @@ def validate_bench(document: dict) -> list[str]:
     problems: list[str] = []
     if document.get("schema") != BENCH_SCHEMA:
         problems.append(f"bad schema id {document.get('schema')!r}")
-    if not isinstance(document.get("schema_version"), int):
+    if not is_int(document.get("schema_version")):
         problems.append("missing integer 'schema_version'")
     if not isinstance(document.get("quick"), bool):
         problems.append("missing boolean 'quick'")
@@ -47,11 +44,11 @@ def validate_bench(document: dict) -> list[str]:
                 problems.append(
                     f"{where}: not marked architecturally equivalent"
                 )
-            if not _is_number(data.get("speedup")):
+            if not is_number(data.get("speedup")):
                 problems.append(f"{where}: missing numeric 'speedup'")
             for tier in ("baseline", "fast"):
                 row = data.get(tier)
-                if not isinstance(row, dict) or not _is_number(
+                if not isinstance(row, dict) or not is_number(
                     row.get("wall_seconds")
                 ):
                     problems.append(
@@ -59,7 +56,7 @@ def validate_bench(document: dict) -> list[str]:
                     )
         elif kind == "engine":
             for key in ("operations", "operations_per_second"):
-                if not _is_number(data.get(key)):
+                if not is_number(data.get(key)):
                     problems.append(f"{where}: missing numeric {key!r}")
     return problems
 
@@ -69,7 +66,7 @@ def validate_history_entry(document: dict) -> list[str]:
     problems: list[str] = []
     if document.get("schema") != HISTORY_SCHEMA:
         problems.append(f"bad schema id {document.get('schema')!r}")
-    if not isinstance(document.get("schema_version"), int):
+    if not is_int(document.get("schema_version")):
         problems.append("missing integer 'schema_version'")
     timestamp = document.get("timestamp")
     if not isinstance(timestamp, str) or "T" not in timestamp:
@@ -84,7 +81,7 @@ def validate_history_entry(document: dict) -> list[str]:
     for name, value in metrics.items():
         if name not in TRACKED_METRICS:
             problems.append(f"metrics.{name}: not a tracked metric")
-        if not _is_number(value) or value < 0:
+        if not is_number(value) or value < 0:
             problems.append(
                 f"metrics.{name}: not a non-negative number: {value!r}"
             )

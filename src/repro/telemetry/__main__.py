@@ -162,35 +162,21 @@ def main(argv=None) -> int:
         print(telemetry.flat_profile(top=min(args.top, 10)))
 
     if args.validate:
-        from repro.telemetry.schema import (
-            validate_chrome_trace,
-            validate_events,
-            validate_metrics,
-            validate_profile,
-        )
+        from repro.validate import validate_document
 
-        validators = {
-            "metrics.json": validate_metrics,
-            "events.json": validate_events,
-            "trace.json": validate_chrome_trace,
-            "profile.json": validate_profile,
-        }
         problems: list[str] = []
-        checked: list[str] = []
-        for filename, validate in validators.items():
-            if filename in written:
-                checked.append(filename)
-                # Report the on-disk path of the failing document so the
-                # offending artifact can be opened straight from CI logs.
-                problems += [
-                    f"{out_dir / filename}: {p}"
-                    for p in validate(written[filename])
-                ]
+        for filename, document in written.items():
+            # Report the on-disk path of the failing document so the
+            # offending artifact can be opened straight from CI logs.
+            problems += [
+                f"{out_dir / filename}: {p}"
+                for p in validate_document(document)[1]
+            ]
         if problems:
             for problem in problems:
                 print(f"SCHEMA PROBLEM: {problem}", file=sys.stderr)
             return 1
-        print(f"schema validation: OK ({', '.join(sorted(checked))})")
+        print(f"schema validation: OK ({', '.join(sorted(written))})")
     return 0
 
 

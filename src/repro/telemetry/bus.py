@@ -5,8 +5,8 @@ Design constraints (see ``docs/telemetry.md``):
 * **zero overhead when disabled** — components hold a ``trace_hook``
   attribute that is ``None`` by default and guard emissions with a
   single attribute test; the hart's per-instruction plane only exists
-  at all while a tracer is attached (dispatch-table wrapping, the same
-  mechanism ``Hart.attach_coverage`` always used);
+  at all while a tracer is attached (``Hart.attach_tracer`` wraps the
+  dispatch table);
 * **observation only** — subscribers receive events but nothing they
   do can flow back into architectural state; the bus never raises into
   the emitting component;

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from repro.telemetry.events import EVENT_SCHEMA
 from repro.telemetry.metrics import METRICS_SCHEMA
+from repro.validate import is_int, is_number
 
 __all__ = [
     "validate_events",
@@ -52,7 +53,7 @@ def validate_events(document: dict) -> list[str]:
         if not isinstance(kind, str):
             problems.append(f"{where}: missing 'kind'")
             continue
-        if not isinstance(event.get("cycle"), int):
+        if not is_int(event.get("cycle")):
             problems.append(f"{where}: missing integer 'cycle'")
         problems.extend(_check_payload(kind, event, where))
     return problems
@@ -78,15 +79,15 @@ def validate_chrome_trace(document: dict) -> list[str]:
         if not isinstance(event.get("name"), str):
             problems.append(f"{where}: missing 'name'")
         for field in ("pid", "tid"):
-            if not isinstance(event.get(field), int):
+            if not is_int(event.get(field)):
                 problems.append(f"{where}: missing integer {field!r}")
         if phase == "M":
             continue  # metadata events carry no timestamp
-        if not isinstance(event.get("ts"), (int, float)):
+        if not is_number(event.get("ts")):
             problems.append(f"{where}: missing numeric 'ts'")
         if phase in _PHASES_NEEDING_DUR:
             dur = event.get("dur")
-            if not isinstance(dur, (int, float)) or dur < 0:
+            if not is_number(dur) or dur < 0:
                 problems.append(f"{where}: 'X' span needs dur >= 0")
         args = event.get("args")
         if isinstance(args, dict):
@@ -114,11 +115,11 @@ def validate_leakage(document: dict) -> list[str]:
         problems.append(f"bad schema id {document.get('schema')!r}")
     for field in ("windows", "transient_instructions"):
         value = document.get(field)
-        if not isinstance(value, int) or value < 0:
+        if not is_int(value) or value < 0:
             problems.append(f"'{field}' is not a non-negative integer")
     blocked = document.get("blocked")
-    if not isinstance(blocked, dict) or not isinstance(
-        blocked.get("key_csr_reads"), int
+    if not isinstance(blocked, dict) or not is_int(
+        blocked.get("key_csr_reads")
     ):
         problems.append("'blocked.key_csr_reads' is not an integer")
     findings = document.get("findings")
@@ -134,7 +135,7 @@ def validate_leakage(document: dict) -> list[str]:
                 f"{where}: unknown finding kind {finding.get('kind')!r}"
             )
         for field in ("pc", "window", "count"):
-            if not isinstance(finding.get(field), int):
+            if not is_int(finding.get(field)):
                 problems.append(f"{where}: missing integer {field!r}")
         if not isinstance(finding.get("detail"), str):
             problems.append(f"{where}: missing 'detail'")
@@ -150,7 +151,7 @@ def validate_profile(document: dict) -> list[str]:
         problems.append(f"bad schema id {document.get('schema')!r}")
     for field in ("total_instructions", "distinct_pcs"):
         value = document.get(field)
-        if not isinstance(value, int) or value < 0:
+        if not is_int(value) or value < 0:
             problems.append(f"'{field}' is not a non-negative integer")
     rows = document.get("rows")
     if not isinstance(rows, list):
@@ -163,9 +164,9 @@ def validate_profile(document: dict) -> list[str]:
         if not isinstance(row.get("symbol"), str):
             problems.append(f"{where}: missing 'symbol'")
         for field in ("count", "pcs", "low_pc"):
-            if not isinstance(row.get(field), int):
+            if not is_int(row.get(field)):
                 problems.append(f"{where}: missing integer {field!r}")
-        if not isinstance(row.get("percent"), (int, float)):
+        if not is_number(row.get("percent")):
             problems.append(f"{where}: missing numeric 'percent'")
     return problems
 
@@ -186,7 +187,7 @@ def validate_spans(document: dict) -> list[str]:
     elif not isinstance(document.get("process"), str):
         problems.append("'process' is not a string")
     dropped = document.get("dropped")
-    if not isinstance(dropped, int) or dropped < 0:
+    if not is_int(dropped) or dropped < 0:
         problems.append("'dropped' is not a non-negative integer")
     spans = document.get("spans")
     if not isinstance(spans, list):
@@ -206,11 +207,11 @@ def validate_spans(document: dict) -> list[str]:
                 problems.append(f"{where}: {field!r} is neither str nor null")
         start = span.get("start_us")
         end = span.get("end_us")
-        if not isinstance(start, int):
+        if not is_int(start):
             problems.append(f"{where}: missing integer 'start_us'")
-        if not isinstance(end, int):
+        if not is_int(end):
             problems.append(f"{where}: missing integer 'end_us'")
-        if isinstance(start, int) and isinstance(end, int) and end < start:
+        if is_int(start) and is_int(end) and end < start:
             problems.append(f"{where}: end_us {end} < start_us {start}")
         if not isinstance(span.get("attrs"), dict):
             problems.append(f"{where}: 'attrs' is not an object")
@@ -236,20 +237,20 @@ def validate_flightrec(document: dict) -> list[str]:
         if not isinstance(document.get(field), str):
             problems.append(f"'{field}' is not a string")
     limit = document.get("limit")
-    if not isinstance(limit, int) or limit < 1:
+    if not is_int(limit) or limit < 1:
         problems.append("'limit' is not a positive integer")
     for field in ("seen", "dropped"):
         value = document.get(field)
-        if not isinstance(value, int) or value < 0:
+        if not is_int(value) or value < 0:
             problems.append(f"'{field}' is not a non-negative integer")
     events = document.get("events")
     if not isinstance(events, list):
         return problems + ["'events' is not a list"]
-    if isinstance(limit, int) and len(events) > limit:
+    if is_int(limit) and len(events) > limit:
         problems.append(f"{len(events)} events exceed ring limit {limit}")
     if (
-        isinstance(document.get("seen"), int)
-        and isinstance(document.get("dropped"), int)
+        is_int(document.get("seen"))
+        and is_int(document.get("dropped"))
         and document["seen"] - document["dropped"] != len(events)
     ):
         problems.append(
@@ -263,7 +264,7 @@ def validate_flightrec(document: dict) -> list[str]:
             problems.append(f"{where}: not an object")
             continue
         seq = event.get("seq")
-        if not isinstance(seq, int) or seq < 1:
+        if not is_int(seq) or seq < 1:
             problems.append(f"{where}: missing positive integer 'seq'")
         elif seq <= last_seq:
             problems.append(f"{where}: seq {seq} not increasing")
@@ -271,7 +272,7 @@ def validate_flightrec(document: dict) -> list[str]:
             last_seq = seq
         if not isinstance(event.get("kind"), str):
             problems.append(f"{where}: missing 'kind'")
-        if not isinstance(event.get("cycle"), int):
+        if not is_int(event.get("cycle")):
             problems.append(f"{where}: missing integer 'cycle'")
     return problems
 
@@ -292,7 +293,7 @@ def validate_metrics(document: dict) -> list[str]:
     counters = document.get("counters")
     if isinstance(counters, dict):
         for name, value in counters.items():
-            if not isinstance(value, int) or value < 0:
+            if not is_int(value) or value < 0:
                 problems.append(
                     f"counters.{name}: not a non-negative integer"
                 )
@@ -302,15 +303,21 @@ def validate_metrics(document: dict) -> list[str]:
             if not isinstance(hist, dict):
                 problems.append(f"histograms.{name}: not an object")
                 continue
-            for field in ("count", "sum", "buckets"):
-                if field not in hist:
-                    problems.append(f"histograms.{name}: missing {field!r}")
+            if not is_int(hist.get("count")):
+                problems.append(f"histograms.{name}: 'count' is not an integer")
+            if not is_number(hist.get("sum")):
+                problems.append(f"histograms.{name}: 'sum' is not a number")
             buckets = hist.get("buckets")
-            if isinstance(buckets, dict):
-                total = sum(buckets.values())
-                if total != hist.get("count"):
-                    problems.append(
-                        f"histograms.{name}: bucket sum {total} != "
-                        f"count {hist.get('count')}"
-                    )
+            if not isinstance(buckets, dict) or not all(
+                is_int(count) for count in buckets.values()
+            ):
+                problems.append(
+                    f"histograms.{name}: 'buckets' is not an object of "
+                    "integers"
+                )
+            elif sum(buckets.values()) != hist.get("count"):
+                problems.append(
+                    f"histograms.{name}: bucket sum {sum(buckets.values())} "
+                    f"!= count {hist.get('count')}"
+                )
     return problems

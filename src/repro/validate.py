@@ -14,12 +14,32 @@ validated, 1 otherwise.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
 
-__all__ = ["validate_document", "main"]
+__all__ = ["check_count", "is_int", "is_number", "validate_document", "main"]
+
+
+def is_int(value) -> bool:
+    """A JSON integer.  ``True``/``False`` are Python ints but not
+    integers in any of these schemas."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A JSON number (integer or float), booleans excluded."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_count(document, key, problems, where="") -> None:
+    """Append a problem unless ``document[key]`` is a non-negative
+    integer."""
+    value = document.get(key)
+    if not is_int(value) or value < 0:
+        problems.append(
+            f"{where}{key!r} is not a non-negative integer: {value!r}"
+        )
 
 
 def _validators() -> dict:
@@ -98,6 +118,8 @@ def _iter_paths(arguments) -> list[Path]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.validate",
         description="Schema-validate repo JSON artifacts "

@@ -10,9 +10,18 @@ privilege keying, CSR termination, timer deadlines).
 
 from __future__ import annotations
 
+import pytest
+
 from repro.isa import assemble
 from repro.machine.blockcompile import compile_block
 from repro.machine.compare import architectural_state, diff_states
+from repro.machine.hart import (
+    ALU_RI,
+    ALU_RI_W,
+    ALU_RR,
+    ALU_RR_W,
+    BRANCH_CONDS,
+)
 from tests.conftest import HALT, machine_with_keys
 
 
@@ -203,6 +212,50 @@ helper:
         diffs = diff_states(step_state, fast_state)
         assert not diffs, "compiled boot diverged:\n" + "\n".join(diffs)
         assert compiled_blocks > 0
+
+
+#: Zero, one, minus one and the 32- and 64-bit extremes; their pairs
+#: include division by zero and INT_MIN / -1 at both widths.
+EDGE_OPERANDS = (0, 1, -1, 2**31 - 1, -2**31, 2**32 - 1, 2**63 - 1, -2**63)
+SHIFT_AMOUNTS = (0, 31, 32, 63)
+IMMEDIATES = (0, 1, -1, 2047, -2048)
+_IMMEDIATE_SHIFTS = {"slli", "srli", "srai", "slliw", "srliw", "sraiw"}
+
+
+def _edge_program(mnemonic: str) -> str:
+    """Every edge case of ``mnemonic``, each result stored to memory."""
+    lines = ["_start:", "    li s3, 0x08000000"]
+    if mnemonic in ALU_RI or mnemonic in ALU_RI_W:
+        if mnemonic in _IMMEDIATE_SHIFTS:
+            immediates = SHIFT_AMOUNTS if mnemonic in ALU_RI else (0, 31)
+        else:
+            immediates = IMMEDIATES
+        cases = [(a, i) for a in EDGE_OPERANDS for i in immediates]
+    else:
+        cases = [(a, b) for a in EDGE_OPERANDS
+                 for b in EDGE_OPERANDS + SHIFT_AMOUNTS[1:]]
+    for index, (a, b) in enumerate(cases):
+        lines.append(f"    li a0, {a}")
+        if mnemonic in BRANCH_CONDS:
+            lines += [f"    li a1, {b}", "    li t2, 0",
+                      f"    {mnemonic} a0, a1, case{index}",
+                      "    li t2, 1", f"case{index}:"]
+        elif mnemonic in ALU_RI or mnemonic in ALU_RI_W:
+            lines.append(f"    {mnemonic} t2, a0, {b}")
+        else:
+            lines += [f"    li a1, {b}", f"    {mnemonic} t2, a0, a1"]
+        lines.append(f"    sd t2, {8 * index}(s3)")
+    return "\n".join(lines) + "\n" + HALT
+
+
+class TestEdgeOperands:
+    @pytest.mark.parametrize("mnemonic", [
+        *ALU_RR, *ALU_RR_W, *ALU_RI, *ALU_RI_W, *BRANCH_CONDS,
+    ])
+    def test_compiled_tier_matches_hart_tables(self, mnemonic):
+        step, compiled = run_tiers(_edge_program(mnemonic))
+        assert_equivalent(step, compiled)
+        assert compiled.hart.compiled_blocks > 0
 
 
 class TestChaining:

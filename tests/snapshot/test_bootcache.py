@@ -185,8 +185,7 @@ class TestBoundedTemplates:
         assert stats == {
             "templates": 1, "max_templates": 1, "boots": 2,
             "forks": 2, "fallbacks": 0, "evictions": 1,
-            "layout_tables": 2, "shared_code_tables": 2,
-            "shared_code_binds": 0,
+            "layout_tables": 2, "shared_code_binds": 0,
         }
         registry = MetricsRegistry()
         cache.publish_metrics(registry)
@@ -267,25 +266,27 @@ class TestSharedLayouts:
 
     def test_layout_tables_are_bounded(self):
         from repro.kernel.bootcache import MAX_LAYOUT_TABLES
+        from repro.machine.blockcache import LayoutTable
 
         cache = BootCache(max_templates=2)
         cache._layouts.update(
-            ((f"fake{i}",), {}) for i in range(MAX_LAYOUT_TABLES + 3)
+            ((f"fake{i}",), LayoutTable())
+            for i in range(MAX_LAYOUT_TABLES + 3)
         )
         cache._trim_tables()
         assert len(cache._layouts) == MAX_LAYOUT_TABLES
 
-    def test_trimmed_shared_code_tables_keep_their_binds(self):
+    def test_trimmed_layout_tables_keep_their_binds(self):
         from repro.kernel.bootcache import MAX_LAYOUT_TABLES
-        from repro.machine.blockcompile import SharedCodeRegistry
+        from repro.machine.blockcache import LayoutTable
 
         cache = BootCache(max_templates=2)
         for i in range(MAX_LAYOUT_TABLES + 3):
-            registry = SharedCodeRegistry()
-            registry.binds = 1
-            cache._shared_code[(f"fake{i}",)] = registry
+            table = LayoutTable()
+            table.binds = 1
+            cache._layouts[(f"fake{i}",)] = table
         cache._trim_tables()
-        assert len(cache._shared_code) == MAX_LAYOUT_TABLES
+        assert len(cache._layouts) == MAX_LAYOUT_TABLES
         assert cache.stats()["shared_code_binds"] == MAX_LAYOUT_TABLES + 3
 
 
@@ -325,16 +326,18 @@ class TestSharedCode:
         cache = BootCache()
         first = KernelSession(config, _syscall_module(40), boot_cache=cache)
         first.run()
-        registry = first.machine.hart.shared_code
-        published = registry.stats()["published"]
-        assert published > 0
+        table = first.machine.hart.shared_layouts
+        constants = [
+            layout.consts for layout in table.values()
+            if layout.code is not None
+        ]
+        assert constants
         second = KernelSession(config, _syscall_module(40),
                                boot_cache=cache)
         second.run()
-        assert second.machine.hart.shared_code is registry
+        assert second.machine.hart.shared_layouts is table
         assert second.machine.hart.compiled_blocks == 0
-        assert registry.binds == published
-        constants = [consts for _, _, consts in registry._entries.values()]
+        assert table.binds == len(constants)
         assert any("_il" in consts for consts in constants)
         assert any(
             re.fullmatch(r"_k\d+", name)
@@ -342,31 +345,56 @@ class TestSharedCode:
         )
         assert state_digest(second.machine) == state_digest(fresh.machine)
 
+    def test_compiled_code_follows_the_bytes(self):
+        # Fork B puts different bytes at fork A's user addresses, so it
+        # translates and compiles its own loop; fork C runs B's program
+        # again and binds B's code instead of A's or its own.
+        from repro.machine.compare import state_digest
+
+        config = KernelConfig.full()
+        fresh = KernelSession(config, _compute_module(201))
+        fresh.run()
+        cache = BootCache()
+        KernelSession(config, _compute_module(200), boot_cache=cache).run()
+        KernelSession(config, _compute_module(201), boot_cache=cache).run()
+        binds = cache.stats()["shared_code_binds"]
+        third = KernelSession(config, _compute_module(201), boot_cache=cache)
+        third.run()
+        assert third.machine.hart.compiled_blocks == 0
+        assert cache.stats()["shared_code_binds"] - binds >= 1
+        assert state_digest(third.machine) == state_digest(fresh.machine)
+
     def test_bind_rejects_different_raw_bytes(self):
+        # A layout whose bytes differ from memory is not adopted, so
+        # the code compiled from it is not bound either.
         from repro.isa import assemble
-        from repro.machine.blockcompile import SharedCodeRegistry
+        from repro.machine.blockcache import LayoutTable
         from tests.conftest import HALT, machine_with_keys
 
-        program = assemble(f"""
+        def program(step: int):
+            return assemble(f"""
 _start:
     li s0, 0
     li s1, 40
 loop:
-    addi s0, s0, 1
+    addi s0, s0, {step}
     blt s0, s1, loop
 {HALT}
 """)
-        machine = machine_with_keys(program)
-        machine.hart.compile_threshold = 1
-        registry = SharedCodeRegistry()
-        machine.hart.shared_code = registry
-        machine.run(100_000, fast=True)
-        pc = program.symbols["loop"]
-        block = machine.hart.blocks.peek((pc, 3))
-        assert block is not None and block.compiled is not None
-        raw = bytes(machine.memory.read_bytes(pc, 4 * len(block.ops)))
-        assert registry.bind(machine.hart, (pc, 3), raw) is not None
-        tampered = bytes([raw[0] ^ 1]) + raw[1:]
-        assert registry.bind(machine.hart, (pc, 3), tampered) is None
-        assert registry.stats()["rejected"] == 1
-        assert registry.binds == 1
+
+        table = LayoutTable()
+        programs = [program(1), program(2)]
+        first, second = (machine_with_keys(p) for p in programs)
+        for machine in (first, second):
+            machine.hart.compile_threshold = 1
+            machine.hart.shared_layouts = table
+        key = (programs[0].symbols["loop"], 3)
+        first.run(100_000, fast=True)
+        published = table[key]
+        assert published.code is not None
+        second.run(100_000, fast=True)
+        block = second.hart.blocks.peek(key)
+        assert block.layout is not published
+        assert block.compiled.__code__ is not published.code
+        assert table[key] is block.layout
+        assert second.hart.regs.by_name("s0") == 40

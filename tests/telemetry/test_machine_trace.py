@@ -209,20 +209,3 @@ class TestAttachDetach:
         telemetry.detach()
         telemetry.detach()  # must not raise
         assert not telemetry.attached
-
-
-class TestCoverageShim:
-    def test_attach_coverage_still_observes(self):
-        machine = machine_with_keys(assemble(SOURCE))
-        mnemonics = []
-        traps = []
-        machine.hart.attach_coverage(
-            lambda ins: mnemonics.append(ins.mnemonic),
-            on_trap=lambda trap, pc: traps.append((trap.cause, pc)),
-        )
-        machine.run(10_000, fast=True)
-        machine.hart.detach_tracer()
-        assert "creak" in mnemonics
-        assert "crdak" in mnemonics
-        assert len(traps) == 1
-        assert traps[0][0] == Cause.ECALL_FROM_M
