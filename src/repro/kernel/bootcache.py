@@ -61,14 +61,6 @@ def program_digest(program) -> str:
 #: limit.
 DEFAULT_MAX_TEMPLATES = 8
 
-#: Layout tables retained beyond the template bound.
-#: Deliberately larger than ``DEFAULT_MAX_TEMPLATES``: a table must
-#: outlive its template, because live forks keep publishing into it
-#: after an eviction and a re-booted template's new forks must rejoin
-#: the *same* table those siblings hold — dropping the dict entry at
-#: eviction time would silently split one sharing domain into two.
-MAX_LAYOUT_TABLES = 16
-
 
 class BootCache:
     """Caches booted template machines; hands out COW forks of them.
@@ -86,16 +78,12 @@ class BootCache:
             )
         self.max_templates = max_templates
         self._templates: OrderedDict[tuple, Machine] = OrderedDict()
-        #: Per-template shared block layouts: every fork of a template
-        #: contributes its translations and compiled code and adopts its
-        #: siblings' (validated byte-for-byte at adoption), so the hot
-        #: kernel paths are predecoded and compiled once per template,
-        #: not once per fork.  Bounded by ``MAX_LAYOUT_TABLES``, *not*
-        #: tied to template eviction (see :meth:`_trim_tables`).
-        self._layouts: OrderedDict[tuple, LayoutTable] = OrderedDict()
-        #: Code binds made through tables that :meth:`_trim_tables` has
-        #: since dropped, so ``shared_code_binds`` keeps counting them.
-        self._trimmed_binds = 0
+        #: Block layouts shared by every fork of every template: each
+        #: fork contributes its translations and compiled code and
+        #: adopts its siblings' (validated byte-for-byte at adoption),
+        #: so a block is predecoded and compiled once per distinct
+        #: code, not once per fork or per template.
+        self._layouts = LayoutTable()
         #: Template boots performed (the expensive operation saved).
         self.boots = 0
         #: Forks handed out.
@@ -117,10 +105,7 @@ class BootCache:
             "forks": self.forks,
             "fallbacks": self.fallbacks,
             "evictions": self.evictions,
-            "layout_tables": len(self._layouts),
-            "shared_code_binds": self._trimmed_binds + sum(
-                table.binds for table in self._layouts.values()
-            ),
+            "shared_code_binds": self._layouts.binds,
         }
 
     def publish_metrics(self, registry, prefix: str = "bootcache") -> None:
@@ -159,20 +144,12 @@ class BootCache:
                 self.max_templates is not None
                 and len(self._templates) > self.max_templates
             ):
-                # Evicting a template must NOT drop its layout table:
-                # live forks still publish into it, and a re-boot of the
-                # same key has to rejoin the table those siblings hold.
-                # Tables have their own (larger) bound; see _trim_tables.
                 self._templates.popitem(last=False)
                 self.evictions += 1
-                self._trim_tables()
         else:
             self._templates.move_to_end(key)
         child = fork(template)
-        child.hart.shared_layouts = self._layouts.setdefault(
-            key, LayoutTable()
-        )
-        self._layouts.move_to_end(key)
+        child.hart.shared_layouts = self._layouts
         for section in user.sections.values():
             if section.data:
                 child.memory.write_bytes(section.base, bytes(section.data))
@@ -183,18 +160,6 @@ class BootCache:
         return child
 
     # -- internals ---------------------------------------------------------------
-
-    def _trim_tables(self) -> None:
-        """Bound the layout tables, preferring to drop tables whose
-        template is gone (a live template's table is only sacrificed
-        when evicted keys alone cannot satisfy the bound)."""
-        tables = self._layouts
-        while len(tables) > MAX_LAYOUT_TABLES:
-            victim = next(
-                (k for k in tables if k not in self._templates),
-                next(iter(tables)),
-            )
-            self._trimmed_binds += tables.pop(victim).binds
 
     @staticmethod
     def _coverable(user_program) -> bool:

@@ -125,9 +125,11 @@ class BlockLayout:
     and ``consts``; the byte compare that admits the layout admits that
     code too, so an adopting sibling rebinds it instead of compiling.
 
-    Sharing is scoped by the boot cache to forks of one template, which
-    all carry the same cost model and crypto engine — the cycle bound
-    and the cycle literals folded into the code transfer unchanged.
+    The table keys layouts by the hart's cost key as well as by
+    ``(pc, privilege)``: the cycle bound and the cycle literals folded
+    into the code depend on the cost model and the engine's hit/miss
+    cycles, so only harts that agree on those share them, whatever
+    template they were forked from.
     """
 
     __slots__ = ("raw", "instructions", "cycle_bound", "pages", "code",
@@ -143,9 +145,19 @@ class BlockLayout:
         self.consts: dict | None = None
 
 
+#: Layouts kept per key, newest first: one per program a fork has run
+#: at that address (a key with more variants recompiles the oldest).
+MAX_LAYOUTS_PER_KEY = 8
+
+#: Keys one shared-layout table may hold (bounded by code footprint in
+#: practice; the cap only guards degenerate self-modifying guests).
+MAX_SHARED_LAYOUTS = 8192
+
+
 class LayoutTable(dict):
-    """``(pc, privilege) -> BlockLayout`` shared by the forks of one
-    template, counting the compiled functions those forks rebound."""
+    """``(pc, privilege, cost key) -> [BlockLayout, ...]``, newest
+    first, shared by every fork of a boot cache; counts the compiled
+    functions those forks rebound."""
 
     __slots__ = ("binds",)
 
@@ -153,10 +165,12 @@ class LayoutTable(dict):
         super().__init__()
         self.binds = 0
 
-
-#: Entries one shared-layout table may hold (bounded by code footprint
-#: in practice; the cap only guards degenerate self-modifying guests).
-MAX_SHARED_LAYOUTS = 8192
+    def publish(self, key: tuple, layout: BlockLayout) -> None:
+        """Put ``layout`` first under ``key``, dropping the oldest
+        beyond ``MAX_LAYOUTS_PER_KEY``."""
+        layouts = self.setdefault(key, [])
+        layouts.insert(0, layout)
+        del layouts[MAX_LAYOUTS_PER_KEY:]
 
 
 class BlockCache:

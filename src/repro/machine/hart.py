@@ -107,13 +107,20 @@ class Hart:
         self.spec = None
         # -- fast path: basic-block translation cache ----------------------
         self.blocks = BlockCache()
-        #: :class:`repro.machine.blockcache.LayoutTable` shared across
-        #: forks of one warm template (installed by the boot cache, None
-        #: otherwise).  Layouts, and the compiled code they carry, are
-        #: validated byte-for-byte against live memory before adoption,
-        #: so the table needs no invalidation and tolerates siblings
-        #: with divergent memory.
+        #: :class:`repro.machine.blockcache.LayoutTable` shared by every
+        #: fork of a boot cache (installed by the cache, None otherwise).
+        #: Layouts, and the compiled code they carry, are validated
+        #: byte-for-byte against live memory before adoption, so the
+        #: table needs no invalidation and tolerates siblings with
+        #: divergent memory.
         self.shared_layouts = None
+        #: What a layout's cycle bound and code fold in besides its
+        #: bytes and privilege; part of its key in ``shared_layouts``.
+        self._cost_key = (
+            *self.cost.costs().values(),
+            self.engine.hit_cycles,
+            self.engine.miss_cycles,
+        )
         #: Translations answered from ``shared_layouts``.
         self.layout_hits = 0
         # -- compiled tier: specialized functions + direct chaining --------
@@ -306,7 +313,8 @@ class Hart:
     def _adopt_layout(self, pc: int, key: tuple[int, int], mem):
         """Rebind a shared :class:`BlockLayout` into a local block.
 
-        Validates the layout byte-for-byte against live memory first —
+        Tries the layouts under this pc, privilege and cost key newest
+        first, validating each byte-for-byte against live memory —
         adoption is only a win because the bulk read + compare is far
         cheaper than fetch/predecode/cost-bounding the sequence, and
         the comparison makes sharing unconditionally safe: a sibling
@@ -318,14 +326,14 @@ class Hart:
         shared = self.shared_layouts
         if shared is None:
             return None
-        layout = shared.get(key)
-        if layout is None:
-            return None
-        try:
-            raw = bytes(mem.read_bytes(pc, len(layout.raw)))
-        except (MemoryFault, AttributeError):
-            return None
-        if raw != layout.raw:
+        for layout in shared.get(key + (self._cost_key,), ()):
+            try:
+                raw = bytes(mem.read_bytes(pc, len(layout.raw)))
+            except (MemoryFault, AttributeError):
+                continue
+            if raw == layout.raw:
+                break
+        else:
             return None
         dispatch = self._dispatch
         ops = tuple(
@@ -404,9 +412,10 @@ class Hart:
             except (MemoryFault, AttributeError):
                 raw = None
             if raw is not None:
-                block.layout = shared[key] = BlockLayout(
+                block.layout = BlockLayout(
                     raw, tuple(ins for _, ins in ops), bound, pages
                 )
+                shared.publish(key + (self._cost_key,), block.layout)
         if trace is not None:
             trace(
                 BLOCK_COMPILE,

@@ -11,7 +11,7 @@ than being assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.isa import instructions as tab
 
@@ -36,7 +36,18 @@ class CostModel:
     crypto_hit: int = 1
     crypto_miss: int = 3
 
-    _class_cache: dict[str, str] = field(default_factory=dict, repr=False)
+    _class_cache: dict[str, str] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def costs(self) -> dict[str, int]:
+        """The public cost fields by name: what a snapshot records, and
+        what a block's cycle bound and compiled code fold in."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if not f.name.startswith("_")
+        }
 
     def classify(self, mnemonic: str) -> str:
         cached = self._class_cache.get(mnemonic)

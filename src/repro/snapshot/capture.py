@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 from repro.errors import SnapshotError
-from repro.machine.timing import CostModel
 from repro.telemetry import hooks as telemetry
 from repro.telemetry.events import SNAPSHOT_CAPTURE
 from repro.snapshot.state import (
@@ -36,14 +33,6 @@ def cipher_spec(cipher) -> dict:
     raise SnapshotError(
         f"cannot snapshot unknown cipher type {type(cipher).__name__}"
     )
-
-
-def cost_model_state(cost: CostModel) -> dict:
-    return {
-        f.name: getattr(cost, f.name)
-        for f in fields(CostModel)
-        if not f.name.startswith("_")
-    }
 
 
 def _capture_memory(memory, include_pages: bool) -> MemoryState:
@@ -146,7 +135,7 @@ def capture(machine, include_pages: bool = True) -> MachineSnapshot:
             rng_state=machine.rng.state,
         ),
         engine=_capture_engine(machine.engine),
-        cost=cost_model_state(hart.cost),
+        cost=hart.cost.costs(),
         fast_path=machine.fast_path,
         halt_reason=(
             machine.halt_reason.value

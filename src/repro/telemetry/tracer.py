@@ -65,6 +65,9 @@ class Telemetry:
         self._machine = None
         self._image = None
         self._previous_sink = None
+        #: Did this attachment install the snapshot sink?  Only then may
+        #: its detach restore ``_previous_sink``.
+        self._sink_installed = False
         self._open_traps: list = []
 
     @property
@@ -132,6 +135,7 @@ class Telemetry:
             self._previous_sink = snapshot_hooks.set_sink(
                 lambda kind, fields: bus.emit(kind, hart.cycles, **fields)
             )
+            self._sink_installed = True
         hart.attach_tracer(bus)
         return self
 
@@ -147,9 +151,10 @@ class Telemetry:
         hart.csrs.key_write_hook = None
         if hart.spec is not None:
             hart.spec.trace_hook = None
-        if self._previous_sink is not None or snapshot_hooks.active():
+        if self._sink_installed:
             snapshot_hooks.clear_sink(self._previous_sink)
             self._previous_sink = None
+            self._sink_installed = False
         if self.registry is not None:
             self.collect()
         self._machine = None

@@ -389,3 +389,14 @@ class TestRegVaultInstructions:
         """)
         assert machine.hart.cycles > 0
         assert machine.hart.instret > 0
+
+
+class TestCostModel:
+    def test_classifying_a_mnemonic_keeps_models_equal(self):
+        from repro.machine.timing import CostModel
+
+        classified, fresh = CostModel(), CostModel()
+        assert classified.cost("mul") == 3
+        assert classified == fresh
+        assert classified.costs() == fresh.costs()
+        assert "_class_cache" not in fresh.costs()

@@ -185,7 +185,7 @@ class TestBoundedTemplates:
         assert stats == {
             "templates": 1, "max_templates": 1, "boots": 2,
             "forks": 2, "fallbacks": 0, "evictions": 1,
-            "layout_tables": 2, "shared_code_binds": 0,
+            "shared_code_binds": 0,
         }
         registry = MetricsRegistry()
         cache.publish_metrics(registry)
@@ -240,12 +240,10 @@ class TestSharedLayouts:
         b = KernelSession(config, _exit_module(2), boot_cache=cache)
         assert b.run().exit_code == 2
 
-    def test_layout_tables_survive_template_eviction(self):
-        # Eviction used to drop the shared layout table with the
-        # template, orphaning live sibling forks mid-flight and
-        # throwing away every translation when the same config
-        # re-booted.  Tables now outlive templates (bounded separately
-        # by MAX_LAYOUT_TABLES).
+    def test_layouts_survive_template_eviction(self):
+        # Every template's forks share one table, so evicting a
+        # template drops no layouts: the re-booted config's fork adopts
+        # what its earlier fork published and serves the same session.
         cache = BootCache(max_templates=1)
         first = KernelSession(
             KernelConfig.baseline(), _exit_module(11), boot_cache=cache
@@ -254,40 +252,31 @@ class TestSharedLayouts:
             KernelConfig.full(), _exit_module(1), boot_cache=cache
         ).run()
         assert cache.evictions == 1
-        assert cache.stats()["layout_tables"] == 2
-        # The evicted config re-boots into the retained table and
-        # still serves byte-identical sessions.
-        again = KernelSession(
+        session = KernelSession(
             KernelConfig.baseline(), _exit_module(11), boot_cache=cache
-        ).run()
+        )
+        again = session.run()
         assert cache.boots == 3
+        assert session.machine.hart.layout_hits > 0
         assert (first.exit_code, first.console, first.instructions) == (
             again.exit_code, again.console, again.instructions)
 
-    def test_layout_tables_are_bounded(self):
-        from repro.kernel.bootcache import MAX_LAYOUT_TABLES
-        from repro.machine.blockcache import LayoutTable
-
-        cache = BootCache(max_templates=2)
-        cache._layouts.update(
-            ((f"fake{i}",), LayoutTable())
-            for i in range(MAX_LAYOUT_TABLES + 3)
+    def test_table_keeps_the_newest_layouts_per_key(self):
+        from repro.machine.blockcache import (
+            MAX_LAYOUTS_PER_KEY,
+            BlockLayout,
+            LayoutTable,
         )
-        cache._trim_tables()
-        assert len(cache._layouts) == MAX_LAYOUT_TABLES
 
-    def test_trimmed_layout_tables_keep_their_binds(self):
-        from repro.kernel.bootcache import MAX_LAYOUT_TABLES
-        from repro.machine.blockcache import LayoutTable
-
-        cache = BootCache(max_templates=2)
-        for i in range(MAX_LAYOUT_TABLES + 3):
-            table = LayoutTable()
-            table.binds = 1
-            cache._layouts[(f"fake{i}",)] = table
-        cache._trim_tables()
-        assert len(cache._layouts) == MAX_LAYOUT_TABLES
-        assert cache.stats()["shared_code_binds"] == MAX_LAYOUT_TABLES + 3
+        table = LayoutTable()
+        key = (0x1000, 0, ())
+        layouts = [
+            BlockLayout(bytes([i]), (), 0, frozenset())
+            for i in range(MAX_LAYOUTS_PER_KEY + 2)
+        ]
+        for layout in layouts:
+            table.publish(key, layout)
+        assert table[key] == layouts[::-1][:MAX_LAYOUTS_PER_KEY]
 
 
 class TestSharedCode:
@@ -328,8 +317,8 @@ class TestSharedCode:
         first.run()
         table = first.machine.hart.shared_layouts
         constants = [
-            layout.consts for layout in table.values()
-            if layout.code is not None
+            layout.consts for layouts in table.values()
+            for layout in layouts if layout.code is not None
         ]
         assert constants
         second = KernelSession(config, _syscall_module(40),
@@ -364,6 +353,94 @@ class TestSharedCode:
         assert cache.stats()["shared_code_binds"] - binds >= 1
         assert state_digest(third.machine) == state_digest(fresh.machine)
 
+    def test_alternating_programs_keep_their_code(self):
+        # Forks alternate two user programs at the same addresses; both
+        # programs' layouts stay under the loop's key, so the third and
+        # fourth forks adopt every block and compile nothing.
+        from repro.machine.compare import state_digest
+
+        config = KernelConfig.full()
+        cache = BootCache()
+        for run, iterations in enumerate((200, 201, 200, 201)):
+            fresh = KernelSession(config, _compute_module(iterations))
+            fresh.run()
+            binds = cache.stats()["shared_code_binds"]
+            session = KernelSession(
+                config, _compute_module(iterations), boot_cache=cache
+            )
+            session.run()
+            assert state_digest(session.machine) == state_digest(
+                fresh.machine)
+            if run >= 2:
+                hart = session.machine.hart
+                assert hart.compiled_blocks == 0
+                assert cache.stats()["shared_code_binds"] - binds >= 1
+                assert hart.layout_hits == hart.blocks.translations > 0
+
+    def test_templates_share_user_code(self):
+        # Two kernel builds with one cost model: the full build's fork
+        # binds the user loop the baseline build's fork compiled.
+        from repro.machine.compare import state_digest
+
+        fresh = KernelSession(KernelConfig.full(), _compute_module(200))
+        fresh.run()
+        cache = BootCache()
+        KernelSession(
+            KernelConfig.baseline(), _compute_module(200), boot_cache=cache
+        ).run()
+        session = KernelSession(
+            KernelConfig.full(), _compute_module(200), boot_cache=cache
+        )
+        session.run()
+        assert session.machine.hart.compiled_blocks == 0
+        assert cache.stats()["shared_code_binds"] >= 1
+        assert state_digest(session.machine) == state_digest(fresh.machine)
+
+    def test_layouts_are_shared_only_under_one_cost_key(self):
+        # The ciphers charge different miss cycles, so a qarma layout's
+        # cycle bound must never serve an xex or xor fork.
+        import dataclasses
+
+        from repro.machine.compare import state_digest
+
+        cache = BootCache()
+        for cipher in ("qarma", "xex", "xor"):
+            config = dataclasses.replace(KernelConfig.full(), cipher=cipher)
+            fresh = KernelSession(config, _syscall_module(40))
+            fresh.run()
+            session = KernelSession(
+                config, _syscall_module(40), boot_cache=cache
+            )
+            session.run()
+            hart = session.machine.hart
+            for block in hart.blocks._blocks.values():
+                assert block.cycle_bound == hart.worst_case_cycles(
+                    ins for _, ins in block.ops)
+            assert state_digest(session.machine) == state_digest(
+                fresh.machine)
+
+    def test_one_compile_per_code_key(self, monkeypatch):
+        # The first workload of each Figure-5 suite under all five
+        # builds: every block is compiled once per (pc, bytes,
+        # privilege), however many templates and forks run it.
+        import repro.machine.hart as hart_module
+        from repro.bench.runner import measure_matrix
+        from repro.bench.workloads import lmbench, spec, unixbench
+
+        compile_block = hart_module.compile_block
+        keys = []
+
+        def counting(hart, block):
+            raw = hart._code_mem.read_bytes(block.entry_pc, 4 * len(block))
+            keys.append((block.entry_pc, bytes(raw), block.privilege))
+            return compile_block(hart, block)
+
+        monkeypatch.setattr(hart_module, "compile_block", counting)
+        workloads = [lmbench.SUITE[0], unixbench.SUITE[0], spec.SUITE[0]]
+        measure_matrix(workloads, scale=0.05, boot_cache=BootCache())
+        assert keys
+        assert len(keys) == len(set(keys))
+
     def test_bind_rejects_different_raw_bytes(self):
         # A layout whose bytes differ from memory is not adopted, so
         # the code compiled from it is not bound either.
@@ -389,12 +466,13 @@ loop:
             machine.hart.compile_threshold = 1
             machine.hart.shared_layouts = table
         key = (programs[0].symbols["loop"], 3)
+        shared_key = key + (first.hart._cost_key,)
         first.run(100_000, fast=True)
-        published = table[key]
+        [published] = table[shared_key]
         assert published.code is not None
         second.run(100_000, fast=True)
         block = second.hart.blocks.peek(key)
         assert block.layout is not published
         assert block.compiled.__code__ is not published.code
-        assert table[key] is block.layout
+        assert table[shared_key] == [block.layout, published]
         assert second.hart.regs.by_name("s0") == 40

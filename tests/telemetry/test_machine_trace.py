@@ -202,6 +202,24 @@ class TestAttachDetach:
         finally:
             telemetry.detach()
 
+    def test_detach_keeps_another_attachments_snapshot_sink(self):
+        # The second attachment wants no snapshot events, so it never
+        # installs the sink and its detach must not clear the first's.
+        from repro.snapshot import fork
+        from repro.telemetry.events import SNAPSHOT_FORK
+
+        machine = machine_with_keys(assemble(SOURCE))
+        telemetry = Telemetry()
+        telemetry.attach(machine)
+        try:
+            other = Telemetry(trace=False, metrics=False)
+            other.attach(machine_with_keys(assemble(SOURCE)))
+            other.detach()
+            fork(machine)
+            assert len(telemetry.recorder.by_kind(SNAPSHOT_FORK)) == 1
+        finally:
+            telemetry.detach()
+
     def test_detach_is_idempotent(self):
         machine = machine_with_keys(assemble(SOURCE))
         telemetry = Telemetry()
