@@ -106,7 +106,8 @@ def run_differential(
     match pairwise.
 
     ``coverage`` (a CoverageMap) observes the reference run through the
-    telemetry trace bus (``insn.retire`` + ``trap.enter``); ``observers``
+    telemetry trace bus (``insn.retire`` through ``attach_tracer``,
+    ``trap.enter`` through the hart's ``trace_hook``); ``observers``
     is an optional iterable of extra ``(kind, callback)`` subscriptions
     for the same bus (the campaign's ``--telemetry`` counters).
     ``mutate_hart`` is a test hook: it receives both fast-path harts so
@@ -126,6 +127,7 @@ def run_differential(
         for kind, callback in observers or ():
             bus.subscribe(kind, callback)
         ref.hart.attach_tracer(bus)
+        ref.hart.trace_hook = bus.make_hook(lambda: ref.hart.cycles)
     if mutate_hart is not None:
         mutate_hart(dut_block.hart)
         mutate_hart(dut_compiled.hart)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from repro.crypto.keys import KeyFile
 from repro.isa import csrdefs
 from repro.machine.trap import Cause, Trap
+from repro.telemetry.events import KEY_WRITE
 from repro.utils.bits import MASK64
 
 #: mstatus bit positions used by this model.
@@ -60,10 +61,10 @@ class CSRFile:
         }
         #: Hooked counters, set by the hart (cycle/instret reads).
         self.counter_hooks: dict[int, callable] = {}
-        #: Telemetry sink (``hook(ksel, half)``) fired on key-CSR
+        #: Telemetry hook (``hook(kind, **fields)``) fired on key-CSR
         #: writes, or None.  Observes only the write's occurrence —
         #: never the key material.
-        self.key_write_hook = None
+        self.trace_hook = None
 
     @staticmethod
     def _min_privilege(csr: int) -> int:
@@ -102,9 +103,9 @@ class CSRFile:
                 self.key_file.set_word(ksel, hi=value)
             else:
                 self.key_file.set_word(ksel, lo=value)
-            hook = self.key_write_hook
+            hook = self.trace_hook
             if hook is not None:
-                hook(ksel, half)
+                hook(KEY_WRITE, ksel=int(ksel), half="hi" if half else "lo")
             return
         if csr not in self._storage:
             raise Trap(Cause.ILLEGAL_INSTRUCTION, tval=csr)

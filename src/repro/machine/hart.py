@@ -99,9 +99,13 @@ class Hart:
         self.csrs.counter_hooks[csrdefs.MCYCLE] = lambda: self.cycles
         self.csrs.counter_hooks[csrdefs.MINSTRET] = lambda: self.instret
         self._dispatch = self._build_dispatch()
-        #: Saved (dispatch, enter_trap) states for attached tracers; the
-        #: empty list is the zero-overhead baseline.
+        #: Dispatch tables saved by the installed dispatch wrappers (the
+        #: ``insn.retire`` plane and speculation).  The compiled tier
+        #: stands down while it is non-empty.
         self._tracer_stack: list[dict] = []
+        #: Telemetry hook (``hook(kind, **fields)``) for trap entry and
+        #: exit and for snapshots taken of this machine, or None.
+        self.trace_hook = None
         #: Attached :class:`repro.machine.spec.SpeculativeEngine`, or
         #: None (the default: no speculation is ever modeled).
         self.spec = None
@@ -486,6 +490,16 @@ class Hart:
 
     def _enter_trap(self, trap: Trap, pc: int) -> None:
         """Trap into machine mode (this model does not delegate)."""
+        hook = self.trace_hook
+        if hook is not None:
+            # Before the trap is taken: observers see pre-entry state.
+            hook(
+                TRAP_ENTER,
+                cause=int(trap.cause),
+                interrupt=bool(trap.interrupt),
+                pc=pc,
+                tval=trap.tval,
+            )
         self.csrs.raw_write(csrdefs.MEPC, pc)
         self.csrs.raw_write(
             csrdefs.MCAUSE, mcause_value(trap.cause, trap.interrupt)
@@ -516,99 +530,61 @@ class Hart:
         self.csrs.mstatus = mstatus
         self.privilege = PrivilegeLevel(previous)
         self.cycles += self.cost.trap_return
-        return self.csrs.raw_read(csrdefs.MEPC)
+        next_pc = self.csrs.raw_read(csrdefs.MEPC)
+        hook = self.trace_hook
+        if hook is not None:
+            hook(TRAP_EXIT, pc=next_pc, privilege=int(self.privilege))
+        return next_pc
 
     # --------------------------------------------------------------- telemetry --
 
-    def attach_tracer(self, bus) -> None:
-        """Instrument the hart for a :class:`repro.telemetry.TraceBus`.
+    def attach_tracer(self, bus) -> bool:
+        """Wrap the dispatch table for ``bus``'s ``insn.retire`` plane.
 
-        Only the planes the bus has subscribers for *at attach time* are
-        instrumented, and each one calls straight through to the
+        Every subscriber is called positionally as ``fn(ins, pc)`` before
+        the handler, with no event object allocated (this is the
+        per-instruction path).  The wrappers call straight through to the
         original closures, so architectural state, cycle accounting and
-        trap behaviour are unchanged:
+        trap behaviour are unchanged.  Compiled code runs no dispatch
+        closures, so the compiled tier stands down while the wrapper is
+        installed.  Structured events (traps, key CSRs, snapshots) do not
+        come through here: they go through ``trace_hook`` attributes.
 
-        * ``insn.retire`` — raw plane; every subscriber is called
-          positionally as ``fn(ins, pc)`` before the handler, with no
-          event object allocated (this is the per-instruction path);
-        * ``trap.enter``  — emitted before the trap is architecturally
-          taken, so subscribers see pre-entry register state;
-        * ``trap.exit``   — emitted after ``mret``/``sret`` returns,
-          carrying the resumed pc and the restored privilege level.
-
-        Translated blocks capture handler references at translation
-        time, so the block cache is flushed to make the fast path pick
-        up the wrapped handlers; :meth:`detach_tracer` restores the
-        exact pre-attach dispatch table and trap entry.
+        Returns False, installing nothing, when ``bus`` has no
+        ``insn.retire`` subscriber.  Otherwise the block cache is flushed
+        so translated blocks pick up the wrapped handlers, and
+        :meth:`detach_tracer` restores the exact pre-attach table.
         """
-        self._tracer_stack.append(
-            {"dispatch": self._dispatch, "enter_trap": self._enter_trap}
-        )
-        dispatch = self._dispatch
         observers = bus.subscribers(INSN_RETIRE)
-        if observers:
-            if len(observers) == 1:
-                observe = observers[0]
-            else:
-                def observe(ins, pc, _observers=tuple(observers)):
-                    for fn in _observers:
-                        fn(ins, pc)
+        if not observers:
+            return False
+        if len(observers) == 1:
+            observe = observers[0]
+        else:
+            def observe(ins, pc, _observers=tuple(observers)):
+                for fn in _observers:
+                    fn(ins, pc)
 
-            def wrap(handler):
-                def wrapped(ins, pc, _handler=handler):
-                    observe(ins, pc)
-                    return _handler(ins, pc)
+        def wrap(handler):
+            def wrapped(ins, pc, _handler=handler):
+                observe(ins, pc)
+                return _handler(ins, pc)
 
-                return wrapped
+            return wrapped
 
-            dispatch = {
-                mnemonic: wrap(handler)
-                for mnemonic, handler in dispatch.items()
-            }
-        if bus.wants(TRAP_EXIT):
-            def wrap_return(handler):
-                def wrapped(ins, pc, _handler=handler):
-                    next_pc = _handler(ins, pc)
-                    bus.emit(
-                        TRAP_EXIT,
-                        self.cycles,
-                        pc=next_pc,
-                        privilege=int(self.privilege),
-                    )
-                    return next_pc
-
-                return wrapped
-
-            dispatch = dict(dispatch)
-            for mnemonic in ("mret", "sret"):
-                dispatch[mnemonic] = wrap_return(dispatch[mnemonic])
-        self._dispatch = dispatch
-        if bus.wants(TRAP_ENTER):
-            inner = self._enter_trap
-
-            def enter_trap(trap, pc):
-                bus.emit(
-                    TRAP_ENTER,
-                    self.cycles,
-                    cause=int(trap.cause),
-                    interrupt=bool(trap.interrupt),
-                    pc=pc,
-                    tval=trap.tval,
-                )
-                inner(trap, pc)
-
-            # Shadow the bound method; step/run_block/_take_pending_interrupt
-            # all go through the instance attribute.
-            self._enter_trap = enter_trap
+        self._tracer_stack.append(self._dispatch)
+        self._dispatch = {
+            mnemonic: wrap(handler)
+            for mnemonic, handler in self._dispatch.items()
+        }
         self.blocks.flush()
+        return True
 
     def detach_tracer(self) -> None:
         """Undo the most recent :meth:`attach_tracer` exactly."""
         if not self._tracer_stack:
             return
-        saved = self._tracer_stack.pop()
-        self._dispatch = saved["dispatch"]
-        self._enter_trap = saved["enter_trap"]
+        self._dispatch = self._tracer_stack.pop()
         self.blocks.flush()
 
     def attach_speculation(self, spec) -> None:
@@ -617,9 +593,9 @@ class Hart:
         Wraps only the control-flow handlers (branches, ``jal``,
         ``jalr``) so the predictor observes every retirement, and
         pushes a frame on the tracer stack: the compiled tier stands
-        down while speculation is attached, exactly as it does for
-        telemetry, and :meth:`detach_speculation` restores the
-        pre-attach dispatch table.  Architectural state is untouched —
+        down while speculation is attached, exactly as it does for the
+        ``insn.retire`` plane, and :meth:`detach_speculation` restores
+        the pre-attach dispatch table.  Architectural state is untouched —
         transient windows run against shadow overlays only.
         """
         spec.attach_to(self)

@@ -277,8 +277,9 @@ class SpeculativeEngine:
     """The attachable speculative front-end for one hart.
 
     ``attach_to``/``detach`` follow the tracer-stack LIFO discipline:
-    an engine attached after a telemetry tracer must be detached before
-    it.  ``trace_hook`` (``hook(kind, **fields)``, usually
+    an engine attached after an ``insn.retire`` tracer
+    (``Hart.attach_tracer``) must be detached before it.
+    ``trace_hook`` (``hook(kind, **fields)``, usually
     ``TraceBus.make_hook``) is optional — stats are always counted,
     events only emitted while a hook is installed.
     """
@@ -289,6 +290,7 @@ class SpeculativeEngine:
         self.stats = SpecStats()
         self.trace_hook = None
         self.hart: Hart | None = None
+        #: The dispatch table this engine saved on the tracer stack.
         self._frame: dict | None = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -298,9 +300,8 @@ class SpeculativeEngine:
             raise RuntimeError("speculative engine is already attached")
         if hart.spec is not None:
             raise RuntimeError("hart already has a speculative engine")
-        frame = {"dispatch": hart._dispatch, "enter_trap": hart._enter_trap}
-        hart._tracer_stack.append(frame)
-        self._frame = frame
+        self._frame = hart._dispatch
+        hart._tracer_stack.append(self._frame)
         dispatch = dict(hart._dispatch)
         for mnemonic in BRANCH_CONDS:
             dispatch[mnemonic] = self._wrap(
@@ -324,9 +325,7 @@ class SpeculativeEngine:
             raise RuntimeError(
                 "speculation must be detached LIFO with respect to tracers"
             )
-        frame = hart._tracer_stack.pop()
-        hart._dispatch = frame["dispatch"]
-        hart._enter_trap = frame["enter_trap"]
+        hart._dispatch = hart._tracer_stack.pop()
         hart.spec = None
         self.hart = None
         self._frame = None

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.errors import SnapshotError
-from repro.telemetry import hooks as telemetry
 from repro.telemetry.events import SNAPSHOT_CAPTURE
 from repro.snapshot.state import (
     CLBState,
@@ -108,13 +107,14 @@ def capture(machine, include_pages: bool = True) -> MachineSnapshot:
     instead.  Such a snapshot cannot be serialized or restored on its
     own.
     """
-    if telemetry.active():
-        telemetry.emit(
+    hart = machine.hart
+    hook = hart.trace_hook
+    if hook is not None:
+        hook(
             SNAPSHOT_CAPTURE,
             pages=len(machine.memory._pages),
             include_pages=include_pages,
         )
-    hart = machine.hart
     return MachineSnapshot(
         hart=HartState(
             regs=tuple(hart.regs._regs),

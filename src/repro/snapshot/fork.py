@@ -18,14 +18,14 @@ from repro.machine.machine import Machine
 from repro.machine.timing import CostModel
 from repro.snapshot.capture import capture
 from repro.snapshot.restore import apply_scalar_state, build_engine
-from repro.telemetry import hooks as telemetry
 from repro.telemetry.events import SNAPSHOT_FORK
 
 
 def fork(machine: Machine) -> Machine:
     """Return an independent copy of ``machine`` sharing pages COW."""
-    if telemetry.active():
-        telemetry.emit(SNAPSHOT_FORK, pages=len(machine.memory._pages))
+    hook = machine.hart.trace_hook
+    if hook is not None:
+        hook(SNAPSHOT_FORK, pages=len(machine.memory._pages))
     snapshot = capture(machine, include_pages=False)
     memory = machine.memory.fork()
     engine = build_engine(snapshot.engine, cipher=machine.engine.cipher)

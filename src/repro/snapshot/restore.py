@@ -28,8 +28,6 @@ from repro.snapshot.state import (
     EngineState,
     MachineSnapshot,
 )
-from repro.telemetry import hooks as telemetry
-from repro.telemetry.events import SNAPSHOT_RESTORE
 
 
 def build_engine(state: EngineState, cipher=None) -> CryptoEngine:
@@ -163,8 +161,4 @@ def restore(snapshot: MachineSnapshot) -> Machine:
         memory.watch_code_page(page_index)
     machine.hart.blocks.flush()
     clear_decode_cache()
-    if telemetry.active():
-        telemetry.emit(
-            SNAPSHOT_RESTORE, pages=len(snapshot.memory.pages)
-        )
     return machine

@@ -2,11 +2,13 @@
 
 Design constraints (see ``docs/telemetry.md``):
 
-* **zero overhead when disabled** — components hold a ``trace_hook``
-  attribute that is ``None`` by default and guard emissions with a
-  single attribute test; the hart's per-instruction plane only exists
-  at all while a tracer is attached (``Hart.attach_tracer`` wraps the
-  dispatch table);
+* **one seam, zero overhead when disabled** — every structured event
+  comes from a producer's ``trace_hook(kind, **fields)`` attribute
+  (see :meth:`TraceBus.make_hook`), which is ``None`` by default and
+  guarded with a single attribute test; the hart's per-instruction
+  plane only exists while ``Hart.attach_tracer`` wraps the dispatch
+  table for ``insn.retire`` subscribers, and that wrapper (like the
+  speculative engine's) is all that stands the compiled tier down;
 * **observation only** — subscribers receive events but nothing they
   do can flow back into architectural state; the bus never raises into
   the emitting component;

@@ -14,7 +14,7 @@ Track layout (single process, pid 0):
 * ``blocks``    — instants for block compile/invalidate/flush (per-hit
   events are summarized by the ``clb+blocks`` counter track instead);
 * ``crypto``    — instants for key-CSR writes and integrity faults;
-* ``snapshot``  — instants for capture/restore/fork;
+* ``snapshot``  — instants for capture/fork;
 * counter samples (``ph: "C"``) for cumulative CLB hits/misses, emitted
   at trap boundaries so the series stays bounded.
 
@@ -48,7 +48,6 @@ _INSTANT_TRACKS = {
     ev.CLB_INVALIDATE: "crypto",
     ev.SCHED_SWITCH: "sched",
     ev.SNAPSHOT_CAPTURE: "snapshot",
-    ev.SNAPSHOT_RESTORE: "snapshot",
     ev.SNAPSHOT_FORK: "snapshot",
 }
 

@@ -43,7 +43,6 @@ __all__ = [
     "SYSCALL_EXIT",
     "SCHED_SWITCH",
     "SNAPSHOT_CAPTURE",
-    "SNAPSHOT_RESTORE",
     "SNAPSHOT_FORK",
     "SPEC_WINDOW",
     "SPEC_LOAD",
@@ -86,7 +85,6 @@ SCHED_SWITCH = "sched.switch"
 
 # -- snapshot subsystem ----------------------------------------------------
 SNAPSHOT_CAPTURE = "snapshot.capture"
-SNAPSHOT_RESTORE = "snapshot.restore"
 SNAPSHOT_FORK = "snapshot.fork"
 
 # -- speculative front-end (repro.machine.spec) -----------------------------
@@ -129,7 +127,6 @@ EVENT_SCHEMA: dict[str, tuple[str, ...]] = {
     SYSCALL_EXIT: ("nr", "name", "tid", "cycles"),
     SCHED_SWITCH: ("from_tid", "to_tid"),
     SNAPSHOT_CAPTURE: ("pages", "include_pages"),
-    SNAPSHOT_RESTORE: ("pages",),
     SNAPSHOT_FORK: ("pages",),
     SPEC_WINDOW: ("window", "pc", "target", "reason"),
     SPEC_LOAD: ("window", "pc", "address", "tainted"),

@@ -8,19 +8,22 @@ One object owns the three layers of the subsystem for one machine:
   machine's own statistics blocks at collection time (``metrics``);
 * the **profiler** on the raw instruction plane (``profile``).
 
-``attach`` wires the hook fabric into every producer — hart dispatch,
-block cache, CLB, crypto engine, key CSRs, snapshot sink, and (when a
-kernel image is supplied) the kernel probe.  ``detach`` restores every
-producer to its pristine, zero-overhead state.  Attachment never
-mutates architectural state: the only side effect is a block-cache
-flush, which is architecture-neutral by the fast path's equivalence
-contract.
+``attach`` installs one bus hook as the ``trace_hook`` of every
+producer whose events the bus wants — hart (traps, snapshots of its
+machine), block cache, CLB, crypto engine, key CSRs, speculative
+engine — adds the kernel probe when a kernel image is supplied, and
+wraps the hart's dispatch table only for the ``insn.retire`` plane.
+``detach`` gives every hook back the value ``attach`` found and
+unwraps the dispatch table.  Attachment never mutates architectural
+state, and only the ``insn.retire`` plane keeps the compiled tier from
+running: its dispatch wrapper (and the block-cache flush that makes
+translated blocks pick it up) is architecture-neutral by the fast
+path's equivalence contract.
 """
 
 from __future__ import annotations
 
 from repro.telemetry import events as ev
-from repro.telemetry import hooks as snapshot_hooks
 from repro.telemetry.bus import DEFAULT_RECORD_LIMIT, TraceBus, TraceRecorder
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profile import Profiler
@@ -44,7 +47,12 @@ _BLOCK_KINDS = (
     ev.BLOCK_EVICT,
     ev.BLOCK_JIT,
 )
-_SPEC_KINDS = ev.SPEC_KINDS
+_HART_KINDS = (
+    ev.TRAP_ENTER,
+    ev.TRAP_EXIT,
+    ev.SNAPSHOT_CAPTURE,
+    ev.SNAPSHOT_FORK,
+)
 
 
 class Telemetry:
@@ -64,10 +72,11 @@ class Telemetry:
         self.probe = None
         self._machine = None
         self._image = None
-        self._previous_sink = None
-        #: Did this attachment install the snapshot sink?  Only then may
-        #: its detach restore ``_previous_sink``.
-        self._sink_installed = False
+        #: ``(producer, trace_hook it had)`` for every hook ``attach``
+        #: installed; ``detach`` puts each one back.
+        self._replaced: list = []
+        #: Did ``attach`` wrap the dispatch table (``insn.retire``)?
+        self._wrapped = False
         self._open_traps: list = []
 
     @property
@@ -84,8 +93,8 @@ class Telemetry:
         bus = self.bus
         hart = machine.hart
 
-        # All subscriptions first: the hart inspects bus.wants(...) at
-        # attach time to decide what to instrument.
+        # All subscriptions first: the wiring below inspects
+        # bus.wants(...) to decide what to instrument.
         if self.registry is not None:
             bus.subscribe(ev.TRAP_ENTER, self._metric_trap_enter)
             bus.subscribe(ev.TRAP_EXIT, self._metric_trap_exit)
@@ -106,55 +115,34 @@ class Telemetry:
 
             self.probe = KernelProbe(bus, machine, image)
 
-        # Producer wiring, cheapest-possible guards when not wanted.
+        # Only producers whose kinds the bus wants get the hook; the
+        # rest keep theirs.
         hook = bus.make_hook(lambda: hart.cycles)
-        if bus.wants_any(_CLB_KINDS):
-            machine.engine.clb.trace_hook = hook
-        if bus.wants_any(_ENGINE_KINDS):
-            machine.engine.trace_hook = hook
-        if bus.wants_any(_BLOCK_KINDS):
-            hart.blocks.trace_hook = hook
-        if hart.spec is not None and bus.wants_any(_SPEC_KINDS):
-            # A speculative engine attached *before* telemetry gets its
-            # events cycle-stamped onto the same bus; one attached later
-            # installs its own hook (see repro.machine.spec).
-            hart.spec.trace_hook = hook
-        if bus.wants(ev.KEY_WRITE):
-            def key_hook(ksel, half):
-                bus.emit(
-                    ev.KEY_WRITE,
-                    hart.cycles,
-                    ksel=int(ksel),
-                    half="hi" if half else "lo",
-                )
-
-            hart.csrs.key_write_hook = key_hook
-        if bus.wants_any(
-            (ev.SNAPSHOT_CAPTURE, ev.SNAPSHOT_RESTORE, ev.SNAPSHOT_FORK)
+        for producer, kinds in (
+            (machine.engine.clb, _CLB_KINDS),
+            (machine.engine, _ENGINE_KINDS),
+            (hart.blocks, _BLOCK_KINDS),
+            (hart.csrs, (ev.KEY_WRITE,)),
+            (hart, _HART_KINDS),
+            # A speculative engine attached after telemetry installs
+            # its own hook (see repro.machine.spec).
+            (hart.spec, ev.SPEC_KINDS),
         ):
-            self._previous_sink = snapshot_hooks.set_sink(
-                lambda kind, fields: bus.emit(kind, hart.cycles, **fields)
-            )
-            self._sink_installed = True
-        hart.attach_tracer(bus)
+            if producer is not None and bus.wants_any(kinds):
+                self._replaced.append((producer, producer.trace_hook))
+                producer.trace_hook = hook
+        self._wrapped = hart.attach_tracer(bus)
         return self
 
     def detach(self) -> None:
         if not self.attached:
             return
-        machine = self._machine
-        hart = machine.hart
-        hart.detach_tracer()
-        machine.engine.clb.trace_hook = None
-        machine.engine.trace_hook = None
-        hart.blocks.trace_hook = None
-        hart.csrs.key_write_hook = None
-        if hart.spec is not None:
-            hart.spec.trace_hook = None
-        if self._sink_installed:
-            snapshot_hooks.clear_sink(self._previous_sink)
-            self._previous_sink = None
-            self._sink_installed = False
+        if self._wrapped:
+            self._machine.hart.detach_tracer()
+            self._wrapped = False
+        for producer, previous in reversed(self._replaced):
+            producer.trace_hook = previous
+        self._replaced.clear()
         if self.registry is not None:
             self.collect()
         self._machine = None

@@ -335,9 +335,9 @@ tail:
 
 class TestTelemetryInteraction:
     def test_tracer_forces_tier_two(self):
-        # With a tracer attached the per-instruction dispatch handlers
-        # are wrapped; the compiled tier would bypass them, so it must
-        # stand down while instrumentation is active.
+        # With an insn.retire tracer attached the per-instruction
+        # dispatch handlers are wrapped; the compiled tier would bypass
+        # them, so it must stand down while the wrapper is installed.
         from repro.telemetry.bus import TraceBus
         from repro.telemetry.events import INSN_RETIRE
 

@@ -3,8 +3,8 @@
 These run a small bare-metal program under an attached
 :class:`~repro.telemetry.Telemetry` and check that every producer
 (dispatch wrapping, trap entry/exit, block cache, CLB, crypto engine,
-key CSRs) emits the events the schema promises — and that detaching
-restores the machine to its exact pre-attach shape.
+key CSRs) emits the events the schema promises, on every tier — and
+that detaching restores the machine to its exact pre-attach shape.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from repro.telemetry.events import (
     CRYPTO_OP,
     INSN_RETIRE,
     KEY_WRITE,
+    SPEC_WINDOW,
     TRAP_ENTER,
     TRAP_EXIT,
 )
@@ -66,8 +67,10 @@ def traced_machine(**planes):
 
 
 class TestEventProduction:
-    def run_traced(self, fast: bool):
-        machine, telemetry = traced_machine()
+    def run_traced(self, fast: bool, compile_threshold=None, **planes):
+        machine, telemetry = traced_machine(**planes)
+        if compile_threshold is not None:
+            machine.hart.compile_threshold = compile_threshold
         machine.run(10_000, fast=fast)
         telemetry.detach()
         return machine, telemetry
@@ -115,6 +118,19 @@ class TestEventProduction:
         assert keep(slow, TRAP_ENTER) == keep(fast, TRAP_ENTER)
         assert keep(slow, TRAP_EXIT) == keep(fast, TRAP_EXIT)
         assert keep(slow, CRYPTO_OP) == keep(fast, CRYPTO_OP)
+        # Counting planes leave the compiled tier on, and compiled code
+        # emits the same machine events at the same cycles.
+        _, slow = self.run_traced(False, 1, profile=False)
+        compiled, fast = self.run_traced(True, 1, profile=False)
+        assert compiled.hart.compiled_blocks >= 1
+        machine_kinds = (TRAP_ENTER, TRAP_EXIT, CRYPTO_OP, KEY_WRITE)
+        seen = lambda t: [  # noqa: E731
+            (e.kind, e.cycle, e.data)
+            for e in t.recorder.events
+            if e.kind in machine_kinds or e.kind.startswith("clb.")
+        ]
+        assert seen(fast) == seen(slow)
+        assert {kind for kind, _, _ in seen(fast)} >= set(machine_kinds)
 
 
 class TestRawPlane:
@@ -186,7 +202,8 @@ class TestAttachDetach:
         assert machine.engine.clb.trace_hook is None
         assert machine.engine.trace_hook is None
         assert hart.blocks.trace_hook is None
-        assert hart.csrs.key_write_hook is None
+        assert hart.csrs.trace_hook is None
+        assert hart.trace_hook is None
 
     def test_attach_twice_is_rejected(self):
         machine = machine_with_keys(assemble(SOURCE))
@@ -203,8 +220,9 @@ class TestAttachDetach:
             telemetry.detach()
 
     def test_detach_keeps_another_attachments_snapshot_sink(self):
-        # The second attachment wants no snapshot events, so it never
-        # installs the sink and its detach must not clear the first's.
+        # Snapshot events belong to the machine they read: another
+        # machine's attachment cannot remove A's, and a fork of a
+        # machine nothing observes lands on no trace.
         from repro.snapshot import fork
         from repro.telemetry.events import SNAPSHOT_FORK
 
@@ -212,13 +230,41 @@ class TestAttachDetach:
         telemetry = Telemetry()
         telemetry.attach(machine)
         try:
+            other_machine = machine_with_keys(assemble(SOURCE))
             other = Telemetry(trace=False, metrics=False)
-            other.attach(machine_with_keys(assemble(SOURCE)))
+            other.attach(other_machine)
             other.detach()
+            fork(other_machine)
+            assert len(telemetry.recorder.by_kind(SNAPSHOT_FORK)) == 0
             fork(machine)
             assert len(telemetry.recorder.by_kind(SNAPSHOT_FORK)) == 1
         finally:
             telemetry.detach()
+
+    def test_detach_gives_back_the_hooks_it_found(self):
+        # A speculative engine with its own bus hook, as the transient
+        # attacks attach it, keeps reporting after any telemetry
+        # attachment comes and goes.
+        from repro.machine.spec import SpeculativeEngine
+        from repro.telemetry import TraceRecorder
+
+        machine = machine_with_keys(assemble(SOURCE))
+        engine = SpeculativeEngine()
+        machine.hart.attach_speculation(engine)
+        bus = TraceBus()
+        recorder = TraceRecorder()
+        bus.subscribe(SPEC_WINDOW, recorder)
+        own_hook = bus.make_hook(lambda: machine.hart.cycles)
+        engine.trace_hook = own_hook
+        for planes in ({"trace": False, "metrics": False}, {}):
+            telemetry = Telemetry(**planes)
+            telemetry.attach(machine)
+            telemetry.detach()
+            assert engine.trace_hook is own_hook
+        machine.run(10_000, fast=True)
+        machine.hart.detach_speculation()
+        assert engine.stats.windows > 0
+        assert len(recorder.by_kind(SPEC_WINDOW)) == engine.stats.windows
 
     def test_detach_is_idempotent(self):
         machine = machine_with_keys(assemble(SOURCE))

@@ -7,7 +7,7 @@ invisible.  These tests prove it bit-for-bit:
 * identical ``architectural_state`` / ``state_digest`` for a traced vs
   untraced run (bare metal and full kernel boot);
 * identical cycle and instret counters;
-* identical snapshot bytes when captured under an active trace sink;
+* identical snapshot bytes when captured under an installed trace hook;
 * identical fuzz-campaign reports modulo the opt-in ``telemetry`` key;
 * the disabled path leaves no residue (and no measurable slowdown).
 """
@@ -117,8 +117,8 @@ class TestSnapshotNeutrality:
         telemetry.attach(traced)
         try:
             traced.run(steps, fast=True)
-            # Captured while the snapshot sink is live: the capture is
-            # observed (snapshot.capture event) but unchanged.
+            # Captured while the hart's trace hook is installed: the
+            # capture is observed (snapshot.capture event) but unchanged.
             blob = to_bytes(capture(traced))
         finally:
             telemetry.detach()
@@ -148,10 +148,8 @@ class TestDisabledPath:
         assert machine.engine.clb.trace_hook is None
         assert machine.engine.trace_hook is None
         assert machine.hart.blocks.trace_hook is None
-        assert machine.hart.csrs.key_write_hook is None
-        from repro.telemetry import hooks
-
-        assert not hooks.active()
+        assert machine.hart.csrs.trace_hook is None
+        assert machine.hart.trace_hook is None
 
     def test_detached_machine_runs_at_full_speed(self):
         """Attach-then-detach must leave no measurable residue (≤5%).
