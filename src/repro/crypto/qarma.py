@@ -156,22 +156,35 @@ def _mix(cells: list[int]) -> list[int]:
 # bytes: one 8x256 table per fused layer turns a layer into 8 lookups
 # and 7 XORs.  The S-box layer is nibble-local, so it is a byte-wise
 # table as well (pre-shifted per byte position).  The tables are built
-# lazily from the reference helpers, which keeps them correct by
-# construction; `tests/crypto/test_qarma_fast.py` sweeps the fast path
-# against the reference methods for every S-box.
+# on first use from the reference helpers, which keeps them correct by
+# construction; a linear table runs them only on single-bit inputs.
+# `tests/crypto/test_qarma_fast.py` checks the linear tables against a
+# full 256-entry construction and sweeps the fast path against the
+# reference methods for every S-box.
 
 _BYTE_SHIFTS = tuple(56 - 8 * i for i in range(8))
 _LFSR_SET = frozenset(LFSR_CELLS)
 
 
 def _linear_table(transform) -> tuple:
-    """Per-byte tables for a GF(2)-linear transform on the cell state."""
+    """Per-byte tables for a GF(2)-linear transform on the cell state.
+
+    Linearity means only the eight single-bit values of each byte
+    position need the reference transform; every other entry is the
+    XOR of the entries for its lowest set bit and for the rest.
+    """
     tables = []
     for shift in _BYTE_SHIFTS:
-        tables.append(tuple(
-            _cells_to_text(transform(_text_to_cells(value << shift)))
-            for value in range(256)
-        ))
+        table = [0] * 256
+        for bit in range(8):
+            table[1 << bit] = _cells_to_text(
+                transform(_text_to_cells((1 << bit) << shift))
+            )
+        for value in range(3, 256):
+            low = value & -value
+            if low != value:
+                table[value] = table[low] ^ table[value ^ low]
+        tables.append(tuple(table))
     return tuple(tables)
 
 

@@ -274,9 +274,18 @@ class BlockCache:
         if hook is not None:
             hook(BLOCK_FLUSH, blocks=len(self._blocks))
         self.invalidated_blocks += len(self._blocks)
+        self.flushes += 1
+        self.drop_translations()
+
+    def drop_translations(self) -> None:
+        """Drop every block without counting a flush or emitting one.
+
+        For host-side changes, such as a wrapped or unwrapped dispatch
+        table: blocks hold handler references, but the guest's code did
+        not change, so the guest-facing statistics must not move.
+        """
         self._blocks.clear()
         self._by_page.clear()
-        self.flushes += 1
         self.epoch += 1
 
     @staticmethod

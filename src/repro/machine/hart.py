@@ -551,9 +551,10 @@ class Hart:
         come through here: they go through ``trace_hook`` attributes.
 
         Returns False, installing nothing, when ``bus`` has no
-        ``insn.retire`` subscriber.  Otherwise the block cache is flushed
-        so translated blocks pick up the wrapped handlers, and
-        :meth:`detach_tracer` restores the exact pre-attach table.
+        ``insn.retire`` subscriber.  Otherwise translated blocks are
+        dropped (not counted as a guest flush) so they pick up the
+        wrapped handlers, and :meth:`detach_tracer` restores the exact
+        pre-attach table.
         """
         observers = bus.subscribers(INSN_RETIRE)
         if not observers:
@@ -577,7 +578,7 @@ class Hart:
             mnemonic: wrap(handler)
             for mnemonic, handler in self._dispatch.items()
         }
-        self.blocks.flush()
+        self.blocks.drop_translations()
         return True
 
     def detach_tracer(self) -> None:
@@ -585,7 +586,7 @@ class Hart:
         if not self._tracer_stack:
             return
         self._dispatch = self._tracer_stack.pop()
-        self.blocks.flush()
+        self.blocks.drop_translations()
 
     def attach_speculation(self, spec) -> None:
         """Attach a :class:`repro.machine.spec.SpeculativeEngine`.

@@ -27,7 +27,7 @@ from repro.errors import ReproError
 from repro.machine.csr import MIP_MTIP
 from repro.machine.devices import Clint, Device, Rng, Syscon, Uart
 from repro.machine.hart import Hart
-from repro.machine.memory import Memory
+from repro.machine.memory import PAGE_SHIFT, Memory
 from repro.machine.timing import CostModel
 from repro.machine.trap import Trap
 
@@ -41,11 +41,24 @@ class HaltReason(enum.Enum):
 
 
 class SystemBus:
-    """Routes hart memory accesses to devices or RAM."""
+    """Routes hart memory accesses to devices or RAM.
+
+    Only an access that starts on a device page can reach a device
+    (a device must contain the whole access), so any other access goes
+    straight to RAM after one set test.
+    """
 
     def __init__(self, memory: Memory, devices: list[Device]):
         self.memory = memory
         self.devices = devices
+        self._device_pages = frozenset(
+            page
+            for device in devices
+            for page in range(
+                device.base >> PAGE_SHIFT,
+                ((device.base + device.size - 1) >> PAGE_SHIFT) + 1,
+            )
+        )
 
     def _device_for(self, address: int, length: int) -> Device | None:
         for device in self.devices:
@@ -54,27 +67,31 @@ class SystemBus:
         return None
 
     def read_u8(self, address: int) -> int:
-        device = self._device_for(address, 1)
-        if device:
-            return device.read(address, 1) & 0xFF
+        if address >> PAGE_SHIFT in self._device_pages:
+            device = self._device_for(address, 1)
+            if device:
+                return device.read(address, 1) & 0xFF
         return self.memory.read_u8(address)
 
     def read_u16(self, address: int) -> int:
-        device = self._device_for(address, 2)
-        if device:
-            return device.read(address, 2) & 0xFFFF
+        if address >> PAGE_SHIFT in self._device_pages:
+            device = self._device_for(address, 2)
+            if device:
+                return device.read(address, 2) & 0xFFFF
         return self.memory.read_u16(address)
 
     def read_u32(self, address: int) -> int:
-        device = self._device_for(address, 4)
-        if device:
-            return device.read(address, 4) & 0xFFFFFFFF
+        if address >> PAGE_SHIFT in self._device_pages:
+            device = self._device_for(address, 4)
+            if device:
+                return device.read(address, 4) & 0xFFFFFFFF
         return self.memory.read_u32(address)
 
     def read_u64(self, address: int) -> int:
-        device = self._device_for(address, 8)
-        if device:
-            return device.read(address, 8)
+        if address >> PAGE_SHIFT in self._device_pages:
+            device = self._device_for(address, 8)
+            if device:
+                return device.read(address, 8)
         return self.memory.read_u64(address)
 
     # Writes report whether a device (rather than RAM) absorbed them:
@@ -84,34 +101,38 @@ class SystemBus:
     # under single-stepping.
 
     def write_u8(self, address: int, value: int) -> bool:
-        device = self._device_for(address, 1)
-        if device:
-            device.write(address, 1, value)
-            return True
+        if address >> PAGE_SHIFT in self._device_pages:
+            device = self._device_for(address, 1)
+            if device:
+                device.write(address, 1, value)
+                return True
         self.memory.write_u8(address, value)
         return False
 
     def write_u16(self, address: int, value: int) -> bool:
-        device = self._device_for(address, 2)
-        if device:
-            device.write(address, 2, value)
-            return True
+        if address >> PAGE_SHIFT in self._device_pages:
+            device = self._device_for(address, 2)
+            if device:
+                device.write(address, 2, value)
+                return True
         self.memory.write_u16(address, value)
         return False
 
     def write_u32(self, address: int, value: int) -> bool:
-        device = self._device_for(address, 4)
-        if device:
-            device.write(address, 4, value)
-            return True
+        if address >> PAGE_SHIFT in self._device_pages:
+            device = self._device_for(address, 4)
+            if device:
+                device.write(address, 4, value)
+                return True
         self.memory.write_u32(address, value)
         return False
 
     def write_u64(self, address: int, value: int) -> bool:
-        device = self._device_for(address, 8)
-        if device:
-            device.write(address, 8, value)
-            return True
+        if address >> PAGE_SHIFT in self._device_pages:
+            device = self._device_for(address, 8)
+            if device:
+                device.write(address, 8, value)
+                return True
         self.memory.write_u64(address, value)
         return False
 

@@ -15,6 +15,7 @@ from repro.errors import MemoryFault
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
+PAGE_MASK = PAGE_SIZE - 1
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,53 @@ class MemoryRegion:
         return self.base <= address and address + length <= self.end
 
 
+def _typed_read(size: int):
+    """``Memory.read_u<8*size>``: the page path, else the byte path."""
+    last = PAGE_SIZE - size
+
+    def read(self: Memory, address: int) -> int:
+        offset = address & PAGE_MASK
+        index = address >> PAGE_SHIFT
+        if offset <= last and index in self._full_pages:
+            page = self._pages.get(index)
+            if page is None:
+                return 0  # mapped but never written
+            return int.from_bytes(page[offset:offset + size], "little")
+        return int.from_bytes(self.read_bytes(address, size), "little")
+
+    read.__name__ = f"read_u{8 * size}"
+    read.__qualname__ = f"Memory.{read.__name__}"
+    return read
+
+
+def _typed_write(size: int):
+    """``Memory.write_u<8*size>``: the page path, else the byte path."""
+    last = PAGE_SIZE - size
+    mask = (1 << (8 * size)) - 1
+
+    def write(self: Memory, address: int, value: int) -> None:
+        data = (value & mask).to_bytes(size, "little")
+        offset = address & PAGE_MASK
+        index = address >> PAGE_SHIFT
+        # Absent, COW-shared and watched code pages take the byte
+        # path: it allocates, copies, or runs the code-write hooks.
+        if (
+            offset <= last
+            and index in self._full_pages
+            and index not in self._cow_pages
+            and index not in self._watched_pages
+        ):
+            page = self._pages.get(index)
+            if page is not None:
+                page[offset:offset + size] = data
+                return
+        self.write_bytes(address, data)
+
+    write.__name__ = f"write_u{8 * size}"
+    write.__qualname__ = f"Memory.{write.__name__}"
+    return write
+
+
 class Memory:
     """Sparse byte-addressable memory with region mapping.
 
@@ -43,7 +91,13 @@ class Memory:
 
     def __init__(self, strict: bool = True):
         self.strict = strict
-        self.regions: list[MemoryRegion] = []
+        self._regions: list[MemoryRegion] = []
+        #: Pages proven to lie wholly inside one mapped region: a typed
+        #: access that stays inside one of them needs no region check.
+        #: Filled lazily by the byte path (never when ``strict`` is
+        #: False), replaced whenever ``regions`` changes, and shared
+        #: with forks, whose regions are equal.
+        self._full_pages: set[int] = set()
         self._pages: dict[int, bytearray] = {}
         #: Pages holding translated code: a write that lands on one of
         #: these notifies every registered hook so block caches can
@@ -82,7 +136,8 @@ class Memory:
         child's consumers must register their own.
         """
         child = Memory(strict=self.strict)
-        child.regions = list(self.regions)
+        child._regions = list(self._regions)
+        child._full_pages = self._full_pages
         shared = set(self._pages)
         child._pages = dict(self._pages)
         child._cow_pages = set(shared)
@@ -96,6 +151,17 @@ class Memory:
 
     # -- mapping ---------------------------------------------------------------
 
+    @property
+    def regions(self) -> list[MemoryRegion]:
+        """Mapped regions.  Assign a new list to change them wholesale
+        (snapshot restore does); never mutate the list in place."""
+        return self._regions
+
+    @regions.setter
+    def regions(self, regions: list[MemoryRegion]) -> None:
+        self._regions = regions
+        self._full_pages = set()
+
     def map_region(self, name: str, base: int, size: int) -> MemoryRegion:
         """Map [base, base+size); overlapping an existing region is an error."""
         if size <= 0:
@@ -106,25 +172,38 @@ class Memory:
                 raise ValueError(
                     f"region {name!r} overlaps {existing.name!r}"
                 )
-        self.regions.append(region)
+        self._regions.append(region)
+        # Mapping only adds memory, so every known full page stays
+        # full; the copy stops this memory's new pages reaching forks
+        # that do not map the region.
+        self._full_pages = set(self._full_pages)
         return region
 
     def is_mapped(self, address: int, length: int = 1) -> bool:
         if not self.strict:
             return True
-        return any(r.contains(address, length) for r in self.regions)
+        return any(r.contains(address, length) for r in self._regions)
 
     def region_at(self, address: int) -> MemoryRegion | None:
-        for region in self.regions:
+        for region in self._regions:
             if region.contains(address):
                 return region
         return None
 
     def _check(self, address: int, length: int) -> None:
+        """Fault an access outside every region; learn full pages."""
         if address < 0:
             raise MemoryFault(address, "negative address")
-        if not self.is_mapped(address, length):
+        if not self.strict:
+            return
+        regions = self._regions
+        if not any(r.contains(address, length) for r in regions):
             raise MemoryFault(address, "access to unmapped memory")
+        index = address >> PAGE_SHIFT
+        if index not in self._full_pages and any(
+            r.contains(index << PAGE_SHIFT, PAGE_SIZE) for r in regions
+        ):
+            self._full_pages.add(index)
 
     # -- raw byte access -------------------------------------------------------
 
@@ -134,7 +213,7 @@ class Memory:
         offset = 0
         while offset < length:
             page_index = (address + offset) >> PAGE_SHIFT
-            page_offset = (address + offset) & (PAGE_SIZE - 1)
+            page_offset = (address + offset) & PAGE_MASK
             chunk = min(length - offset, PAGE_SIZE - page_offset)
             page = self._pages.get(page_index)
             if page is not None:
@@ -159,7 +238,7 @@ class Memory:
         touched: list[int] = []
         while offset < length:
             page_index = (address + offset) >> PAGE_SHIFT
-            page_offset = (address + offset) & (PAGE_SIZE - 1)
+            page_offset = (address + offset) & PAGE_MASK
             chunk = min(length - offset, PAGE_SIZE - page_offset)
             page = self._pages.get(page_index)
             if page is None:
@@ -184,32 +263,20 @@ class Memory:
                 hook(page_index)
 
     # -- typed access -----------------------------------------------------------
+    #
+    # An access that stays inside one known full page is one set test,
+    # one dict lookup and one slice; everything else (page-crossing,
+    # partly mapped or unmapped pages, negative addresses, non-strict
+    # memories) takes the byte path above.
 
-    def read_u8(self, address: int) -> int:
-        return self.read_bytes(address, 1)[0]
-
-    def read_u16(self, address: int) -> int:
-        return int.from_bytes(self.read_bytes(address, 2), "little")
-
-    def read_u32(self, address: int) -> int:
-        return int.from_bytes(self.read_bytes(address, 4), "little")
-
-    def read_u64(self, address: int) -> int:
-        return int.from_bytes(self.read_bytes(address, 8), "little")
-
-    def write_u8(self, address: int, value: int) -> None:
-        self.write_bytes(address, bytes([value & 0xFF]))
-
-    def write_u16(self, address: int, value: int) -> None:
-        self.write_bytes(address, (value & 0xFFFF).to_bytes(2, "little"))
-
-    def write_u32(self, address: int, value: int) -> None:
-        self.write_bytes(address, (value & 0xFFFFFFFF).to_bytes(4, "little"))
-
-    def write_u64(self, address: int, value: int) -> None:
-        self.write_bytes(
-            address, (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-        )
+    read_u8 = _typed_read(1)
+    read_u16 = _typed_read(2)
+    read_u32 = _typed_read(4)
+    read_u64 = _typed_read(8)
+    write_u8 = _typed_write(1)
+    write_u16 = _typed_write(2)
+    write_u32 = _typed_write(4)
+    write_u64 = _typed_write(8)
 
     # -- program loading ---------------------------------------------------------
 

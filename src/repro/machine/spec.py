@@ -312,9 +312,10 @@ class SpeculativeEngine:
         hart._dispatch = dispatch
         hart.spec = self
         self.hart = hart
-        # Translated blocks capture handler references: flush so the
-        # block interpreter picks up the wrapped control-flow handlers.
-        hart.blocks.flush()
+        # Translated blocks capture handler references: drop them so
+        # the block interpreter picks up the wrapped control-flow
+        # handlers.
+        hart.blocks.drop_translations()
         return self
 
     def detach(self) -> None:
@@ -329,7 +330,7 @@ class SpeculativeEngine:
         hart.spec = None
         self.hart = None
         self._frame = None
-        hart.blocks.flush()
+        hart.blocks.drop_translations()
 
     @staticmethod
     def _wrap(handler, observe):

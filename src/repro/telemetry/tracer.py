@@ -16,9 +16,9 @@ wraps the hart's dispatch table only for the ``insn.retire`` plane.
 ``detach`` gives every hook back the value ``attach`` found and
 unwraps the dispatch table.  Attachment never mutates architectural
 state, and only the ``insn.retire`` plane keeps the compiled tier from
-running: its dispatch wrapper (and the block-cache flush that makes
-translated blocks pick it up) is architecture-neutral by the fast
-path's equivalence contract.
+running: its dispatch wrapper (and the dropped translations that make
+blocks pick it up, which no block statistic counts) is
+architecture-neutral by the fast path's equivalence contract.
 """
 
 from __future__ import annotations

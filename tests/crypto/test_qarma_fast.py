@@ -72,6 +72,31 @@ class TestFastPathEquivalence:
                     assert cipher.decrypt(ct, tweak, key) == text
 
 
+class TestLinearTables:
+    def test_tables_equal_the_brute_force_construction(self):
+        """Tables built by linearity equal the reference transform run
+        on all 256 values of every byte position, for all five layers."""
+        cells, text = qarma_mod._text_to_cells, qarma_mod._cells_to_text
+        permute, mix = qarma_mod._permute, qarma_mod._mix
+        tau, tau_inv = qarma_mod.CELL_PERM, qarma_mod.CELL_PERM_INV
+        transforms = (
+            lambda c: mix(permute(c, tau)),
+            lambda c: permute(mix(c), tau_inv),
+            lambda c: permute(mix(permute(c, tau)), tau_inv),
+            qarma_mod._tweak_fwd_cells,
+            qarma_mod._tweak_inv_cells,
+        )
+        built = qarma_mod._linear_tables()
+        assert len(built) == len(transforms)
+        for tables, transform in zip(built, transforms):
+            reference = tuple(
+                tuple(text(transform(cells(value << (56 - 8 * position))))
+                      for value in range(256))
+                for position in range(8)
+            )
+            assert tables == reference
+
+
 # -- key-schedule cache --------------------------------------------------------
 
 

@@ -38,6 +38,7 @@ REQUIRED = {
     "spec_mispredict_smc",
     "spec_transient_trap",
     "spec_ras_underflow",
+    "memory_seams",
 }
 
 #: Regression seeds that must actually open transient windows when

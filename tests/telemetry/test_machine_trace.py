@@ -58,6 +58,24 @@ handler:
 #: Assembled once for symbol lookups; every machine gets a fresh copy.
 PROGRAM = assemble(SOURCE)
 
+#: Self-modifying code: the first pass of the loop turns the ``addi``
+#: at ``target`` into a nop, so the cached block holding it must go.
+SMC_SOURCE = f"""
+_start:
+    la t0, target
+    li t1, 0x13
+    li s0, 0
+    li s1, 3
+    li a0, 0
+loop:
+    addi s0, s0, 1
+target:
+    addi a0, a0, 5
+    sw t1, 0(t0)
+    blt s0, s1, loop
+{HALT}
+"""
+
 
 def traced_machine(**planes):
     machine = machine_with_keys(assemble(SOURCE))
@@ -184,6 +202,33 @@ class TestMetricsMirroring:
         first = telemetry.metrics_json()
         second = telemetry.metrics_json()
         assert first == second
+
+    def test_wrapping_the_dispatch_table_is_not_a_guest_flush(self):
+        """The profile plane drops translated blocks on attach and on
+        detach; neither drop is reported as the guest's."""
+        machine, telemetry = traced_machine()
+        machine.run(10_000, fast=True)
+        telemetry.detach()
+        assert machine.hart.blocks.translations > 0
+        assert telemetry.registry.counter_value("block.flushes") == 0
+        assert telemetry.registry.counter_value("block.invalidated") == 0
+
+    def test_real_code_rewrites_are_still_reported(self):
+        untraced = machine_with_keys(assemble(SMC_SOURCE))
+        untraced.run(10_000, fast=True)
+        expected = untraced.hart.blocks.invalidated_blocks
+        assert expected > 0
+        machine = machine_with_keys(assemble(SMC_SOURCE))
+        telemetry = Telemetry()
+        telemetry.attach(machine)
+        machine.run(10_000, fast=True)
+        telemetry.detach()
+        assert telemetry.registry.counter_value("block.invalidated") == (
+            expected
+        )
+        assert machine.hart.regs.by_name("a0") == (
+            untraced.hart.regs.by_name("a0")
+        )
 
 
 class TestAttachDetach:
